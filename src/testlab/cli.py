@@ -13,13 +13,13 @@ import argparse
 import csv
 import io
 import sys
-from fractions import Fraction
 
 from . import __version__, evidential, fisher, harness, info_geometry, neyman_pearson
 from .dist import GaussianPair, Seed, parse_probability
 from .errors import TestlabError
 from .evidential import Priors
 from .files import read_distribution, read_symbols
+from .harness import _render
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -36,26 +36,16 @@ class _Parser(argparse.ArgumentParser):
         raise _CliInputError(message)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
-
-
 def _emit(args, pairs, text_lines=None):
     """Write either a key/value CSV or human-readable text to --out/stdout."""
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([key for key, _ in pairs])
-        writer.writerow([_fmt(value) for _, value in pairs])
+        writer.writerow([_render(value) for _, value in pairs])
         payload = buf.getvalue()
     else:
-        lines = text_lines or [f"{key} = {_fmt(value)}" for key, value in pairs]
+        lines = text_lines or [f"{key} = {_render(value)}" for key, value in pairs]
         payload = "\n".join(lines) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -90,11 +80,11 @@ def _cmd_fisher(args):
         ("significant", significant),
     ]
     text = [
-        f"p-value (exact)   = {_fmt(report.p)}",
+        f"p-value (exact)   = {_render(report.p)}",
         f"p-value (float)   = {fisher.float_with_exponent(report.p):.6e}",
-        f"point probability = {_fmt(report.point_prob)}",
+        f"point probability = {_render(report.point_prob)}",
         f"tail outcomes     = {report.n_extreme}",
-        f"significant at {_fmt(args.level)}? {'yes' if significant else 'no'}",
+        f"significant at {_render(args.level)}? {'yes' if significant else 'no'}",
     ]
     _emit(args, pairs, text)
     return EXIT_OK
@@ -121,10 +111,10 @@ def _cmd_lr(args):
     ]
     text = [
         f"n        = {ev.n}",
-        f"log r_n  = {_fmt(ev.sum_log_lr)}",
-        f"r_n      = {_fmt(ev.ratio)}",
+        f"log r_n  = {_render(ev.sum_log_lr)}",
+        f"r_n      = {_render(ev.ratio)}",
         f"grade    = {grade}",
-        f"verdict at s={_fmt(args.s)}: {verdict.value}",
+        f"verdict at s={_render(args.s)}: {verdict.value}",
     ]
     _emit(args, pairs, text)
     return EXIT_OK
@@ -147,12 +137,12 @@ def _cmd_bayes(args):
     ]
     text = [
         f"n        = {ev.n}",
-        f"log r_n  = {_fmt(ev.sum_log_lr)}",
-        f"r_n      = {_fmt(ev.ratio)}",
+        f"log r_n  = {_render(ev.sum_log_lr)}",
+        f"r_n      = {_render(ev.ratio)}",
         f"grade    = {grade}",
-        f"prior P(H) = {_fmt(float(priors.pi_h))}",
-        f"posterior odds K:H = {_fmt(odds)}",
-        f"posterior P(K)     = {_fmt(post)}",
+        f"prior P(H) = {_render(float(priors.pi_h))}",
+        f"posterior odds K:H = {_render(odds)}",
+        f"posterior P(K)     = {_render(post)}",
     ]
     _emit(args, pairs, text)
     return EXIT_OK
@@ -216,8 +206,8 @@ def _cmd_kl(args):
         ("kl_qp_nats", backward.nats),
     ]
     text = [
-        f"D(p || q) = {_fmt(forward.nats)} nats",
-        f"D(q || p) = {_fmt(backward.nats)} nats",
+        f"D(p || q) = {_render(forward.nats)} nats",
+        f"D(q || p) = {_render(backward.nats)} nats",
     ]
     _emit(args, pairs, text)
     return EXIT_OK

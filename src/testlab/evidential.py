@@ -1,11 +1,16 @@
 """Two-hypothesis evidential inference.
 
 The running log likelihood ratio ln r_n = sum ln P_K(x_i)/P_H(x_i) is the
-central object. When both hypotheses are rational, the ratio itself is
-carried as an exact Fraction so batch order cannot perturb anything; in
-float mode the log increments are summed directly. Support violations are
-mapped to exact +/- infinity: an observation impossible under H is decisive
-for K, and vice versa.
+central object. It depends on the sample only through its symbol counts,
+so batch evidence (``evidence_from_sample``, ``evidence_from_counts``) is
+computed from one counting pass: r_n = prod (P_K(x)/P_H(x))**c_x over the
+at most k counted symbols. ``update`` folds in one observation at a time
+and is meant for streaming, where the counts are not known in advance.
+When both hypotheses are rational, the ratio itself is carried as an exact
+Fraction so batch order cannot perturb anything; in float mode the log
+increments are summed directly. Support violations are mapped to exact
++/- infinity: an observation impossible under H is decisive for K, and
+vice versa.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .dist import (
     Seed,
     _finite_indices,
     as_probability,
+    empirical,
     log_probability,
     require_same_alphabet,
 )
@@ -106,8 +112,15 @@ class LogEvidence:
 
     @property
     def ratio(self) -> float:
-        """r_n as a float (may overflow to inf for long one-sided runs)."""
-        return math.exp(self.sum_log_lr)
+        """r_n as a float; inf once ln r_n is beyond the double range."""
+        return _exp_or_inf(self.sum_log_lr)
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _log_fraction(r: Fraction) -> float:
@@ -160,13 +173,67 @@ def update_gaussian(ev: LogEvidence, pair: GaussianPair, x: float) -> LogEvidenc
     return LogEvidence(ev.sum_log_lr + pair.log_density_ratio(x), ev.n + 1, None, None)
 
 
+def evidence_from_counts(
+    h: FiniteDistribution, k: FiniteDistribution, counts: Sequence[int], n: int
+) -> LogEvidence:
+    """Evidence of a sample of size n whose symbol h.alphabet[i] occurred
+    counts[i] times.
+
+    Equals folding the sample through ``update`` in any order: H is
+    falsified iff some counted symbol has zero mass under H, and K likewise.
+    Raises ImpossibleObservationError if a counted symbol has zero mass
+    under both hypotheses, or if the counts falsify both.
+    """
+    counts = tuple(counts)
+    if len(counts) != h.size or min(counts) < 0 or sum(counts) != n:
+        raise InputError(
+            f"need {h.size} nonnegative counts summing to n={n}, got {counts!r}"
+        )
+    if n == 0:
+        return LogEvidence()
+    require_same_alphabet(h, k)
+    seen = [
+        (x, c, ph, pk)
+        for x, c, ph, pk in zip(h.alphabet, counts, h.probs, k.probs)
+        if c
+    ]
+    h_excluded = k_excluded = False
+    for x, _, ph, pk in seen:
+        # such a symbol also excludes both below; raising here names it
+        if ph == 0 and pk == 0:
+            raise ImpossibleObservationError(
+                f"symbol {x!r} has probability zero under both hypotheses"
+            )
+        h_excluded = h_excluded or ph == 0
+        k_excluded = k_excluded or pk == 0
+    if h_excluded and k_excluded:
+        raise ImpossibleObservationError(
+            "observations are jointly impossible under both hypotheses"
+        )
+    if h_excluded:
+        return LogEvidence(math.inf, n, "H", None)
+    if k_excluded:
+        return LogEvidence(-math.inf, n, "K", None)
+    if h.is_exact and k.is_exact:
+        # one normalisation at the end instead of one per factor
+        num = den = 1
+        for _, c, ph, pk in seen:
+            num *= (pk.numerator * ph.denominator) ** c
+            den *= (pk.denominator * ph.numerator) ** c
+        ratio = Fraction(num, den)
+        return LogEvidence(_log_fraction(ratio), n, None, ratio)
+    total = 0.0
+    for _, c, ph, pk in seen:
+        total += c * (log_probability(pk) - log_probability(ph))
+    return LogEvidence(total, n, None, None)
+
+
 def evidence_from_sample(
     h: FiniteDistribution, k: FiniteDistribution, xs: Sequence
 ) -> LogEvidence:
-    ev = LogEvidence()
-    for x in xs:
-        ev = update(ev, h, k, x)
-    return ev
+    """Evidence of a whole sample, computed from its symbol counts."""
+    emp = empirical(xs, h.alphabet)
+    return evidence_from_counts(h, k, emp.counts, emp.n)
 
 
 def _strength_for_h(r) -> GradeStrength:
@@ -229,7 +296,7 @@ def threshold_verdict(ev: LogEvidence, s=8.0) -> Verdict:
 
 def posterior_odds(ev: LogEvidence, priors: Priors) -> float:
     """Posterior odds of K over H: r_n times the prior odds, in log space."""
-    return math.exp(ev.sum_log_lr + priors.log_odds)
+    return _exp_or_inf(ev.sum_log_lr + priors.log_odds)
 
 
 def posterior_prob_k(ev: LogEvidence, priors: Priors) -> float:

@@ -31,7 +31,7 @@ from .errors import EmptySampleError, InfiniteDivergenceError, InputError
 from .evidential import (
     Priors,
     Verdict,
-    evidence_from_sample,
+    evidence_from_counts,
     log_ratio_table,
 )
 from .montecarlo import MCEstimate, mean_estimate
@@ -66,10 +66,12 @@ def kl(
     if isinstance(p, EmpiricalDistribution):
         if p.n == 0:
             raise EmptySampleError("divergence of an empty sample is undefined")
-        p = p.frequencies()
+        weights = [Fraction(c, p.n) for c in p.counts]
+    else:
+        weights = p.probs
     require_same_alphabet(p, q)
     total = 0.0
-    for w, qv in zip(p.probs, q.probs):
+    for w, qv in zip(weights, q.probs):
         if w == 0:
             continue
         if qv == 0:
@@ -93,8 +95,8 @@ def loglr_kl_identity_check(
     n = len(xs)
     if n == 0:
         return 0.0, 0.0
-    ev = evidence_from_sample(h, k, xs)
     emp = empirical(xs, h.alphabet)
+    ev = evidence_from_counts(h, k, emp.counts, n)
     rhs = n * (float(kl(emp, h)) - float(kl(emp, k)))
     return ev.sum_log_lr, rhs
 
@@ -109,15 +111,15 @@ def map_decide(
     ln(1/pi_k) + n D(emp||k) is evaluated as well and must point the same
     way; a disagreement beyond tie-zone rounding is a logic error.
     """
-    ev = evidence_from_sample(h, k, xs)
+    emp = empirical(xs, h.alphabet)
+    n = emp.n
+    ev = evidence_from_counts(h, k, emp.counts, n)
     score = priors.log_odds + ev.sum_log_lr
     decision = "K" if score > 0 else "H"
 
-    n = len(xs)
     if n == 0:
         d_h = d_k = 0.0
     else:
-        emp = empirical(xs, h.alphabet)
         d_h = float(kl(emp, h))
         d_k = float(kl(emp, k))
     alt_score = (-log_probability(priors.pi_h) + n * d_h) - (
@@ -160,9 +162,9 @@ def lr_threshold_as_kl_margin(
         raise InputError(f"threshold must be finite, got {s!r}")
     if s < 1:
         raise InputError(f"threshold must be at least 1, got {s!r}")
-    ev = evidence_from_sample(h, k, xs)
-    margin = math.log(s) / n
     emp = empirical(xs, h.alphabet)
+    ev = evidence_from_counts(h, k, emp.counts, n)
+    margin = math.log(s) / n
     d_h = float(kl(emp, h))
     d_k = float(kl(emp, k))
     if ev.exact_ratio is not None:

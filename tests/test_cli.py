@@ -77,6 +77,33 @@ def test_lr_text_output(capsys, dist_files):
     assert "continue" in out
 
 
+def test_lr_one_sided_sample_overflows_to_infinite_ratio(capsys, tmp_path):
+    # ln r_n = 2000 ln(9/5) ~ 1176 lies beyond the largest finite double
+    h = tmp_path / "h.tsv"
+    k = tmp_path / "k.tsv"
+    data = tmp_path / "data.txt"
+    h.write_text("a\t1/2\nb\t1/2\n")
+    k.write_text("a\t1/10\nb\t9/10\n")
+    data.write_text("b\n" * 2000)
+    rc, out, err = run_cli(
+        capsys, "lr", "--h-dist", str(h), "--k-dist", str(k), "--data", str(data)
+    )
+    assert rc == 0, err
+    assert "r_n      = inf" in out
+    assert "grade    = decisive evidence for K" in out
+    assert "accept_k" in out
+
+    rc, out, err = run_cli(
+        capsys, "bayes", "--h-dist", str(h), "--k-dist", str(k), "--data", str(data),
+        "--format", "csv",
+    )
+    assert rc == 0, err
+    row = csv_row(out)
+    assert row["lr"] == "inf"
+    assert row["posterior_odds_k"] == "inf"
+    assert row["posterior_k"] == "1"
+
+
 def test_bayes_csv_output(capsys, dist_files):
     h, k, data = dist_files
     rc, out, _ = run_cli(

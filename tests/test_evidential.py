@@ -1,6 +1,8 @@
 import math
 import random
+import string
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from testlab import (
     Priors,
     Seed,
     Verdict,
+    empirical,
+    evidence_from_counts,
     evidence_from_sample,
     grade,
     kl,
@@ -115,6 +119,98 @@ def test_swapping_hypotheses_negates_log_evidence():
     backward = evidence_from_sample(k, h, xs)
     assert forward.exact_ratio == 1 / backward.exact_ratio
     assert forward.sum_log_lr == -backward.sum_log_lr
+
+
+# --- batch evidence from counts vs the streaming fold ------------------------------
+
+
+@st.composite
+def _hypotheses_and_sample(draw):
+    """Two rational hypotheses over 2-5 symbols, zero masses allowed, and a
+    sample of up to 60 symbols that may include zero-mass ones."""
+    k = draw(st.integers(min_value=2, max_value=5))
+    labels = tuple(string.ascii_lowercase[:k])
+
+    def dist():
+        weights = draw(
+            st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any)
+        )
+        total = sum(weights)
+        return FiniteDistribution(labels, tuple(Fraction(w, total) for w in weights))
+
+    h, kd = dist(), dist()
+    xs = draw(st.lists(st.sampled_from(labels), max_size=60))
+    return h, kd, xs
+
+
+def _fold(h, k, xs):
+    return reduce(lambda ev, x: update(ev, h, k, x), xs, LogEvidence())
+
+
+def _as_float(d):
+    return FiniteDistribution(d.alphabet, tuple(float(p) for p in d.probs))
+
+
+@given(_hypotheses_and_sample())
+@settings(max_examples=300, deadline=None)
+def test_counts_path_equals_streaming_fold_exact(case):
+    h, k, xs = case
+    try:
+        folded = _fold(h, k, xs)
+    except ImpossibleObservationError:
+        with pytest.raises(ImpossibleObservationError):
+            evidence_from_sample(h, k, xs)
+        return
+    batch = evidence_from_sample(h, k, xs)
+    assert batch.exact_ratio == folded.exact_ratio
+    assert batch.sum_log_lr == folded.sum_log_lr
+    assert batch.falsified == folded.falsified
+    assert batch.n == folded.n == len(xs)
+    if xs:
+        emp = empirical(xs, h.alphabet)
+        for q in (h, k):
+            assert kl(emp, q) == kl(emp.frequencies(), q)
+
+
+@given(_hypotheses_and_sample())
+@settings(max_examples=300, deadline=None)
+def test_counts_path_matches_streaming_fold_float(case):
+    h, k = (_as_float(d) for d in case[:2])
+    xs = case[2]
+    try:
+        folded = _fold(h, k, xs)
+    except ImpossibleObservationError:
+        with pytest.raises(ImpossibleObservationError):
+            evidence_from_sample(h, k, xs)
+        return
+    batch = evidence_from_sample(h, k, xs)
+    assert batch.exact_ratio is None or not xs
+    assert batch.falsified == folded.falsified
+    assert batch.n == folded.n
+    if folded.falsified is not None:
+        assert batch.sum_log_lr == folded.sum_log_lr
+    else:
+        # relative to the magnitude summed: a near-cancelling total has no
+        # relative accuracy to speak of in either summation order
+        scale = sum(abs(h.log_prob(x) - k.log_prob(x)) for x in xs)
+        assert abs(batch.sum_log_lr - folded.sum_log_lr) <= 1e-12 * scale
+
+
+def test_evidence_from_counts_validates_counts():
+    with pytest.raises(InputError):
+        evidence_from_counts(H_FAIR, K_QUARTER, (1, 1), 3)
+    with pytest.raises(InputError):
+        evidence_from_counts(H_FAIR, K_QUARTER, (2,), 2)
+    with pytest.raises(InputError):
+        evidence_from_counts(H_FAIR, K_QUARTER, (3, -1), 2)
+    assert evidence_from_counts(H_FAIR, K_QUARTER, (2, 1), 3).exact_ratio == Fraction(3, 8)
+
+
+def test_ratio_overflows_to_infinity():
+    ev = LogEvidence(sum_log_lr=1000.0, n=1, exact_ratio=None)
+    assert ev.ratio == math.inf
+    assert posterior_odds(ev, Priors(Fraction(1, 2))) == math.inf
+    assert grade(ev.ratio).strength is GradeStrength.DECISIVE
 
 
 def test_gaussian_update_uses_density_ratio():
