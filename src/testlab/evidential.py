@@ -27,15 +27,12 @@ from .dist import (
     FiniteDistribution,
     GaussianPair,
     Probability,
-    Seed,
-    _finite_indices,
     as_probability,
     empirical,
     log_probability,
     require_same_alphabet,
 )
 from .errors import ImpossibleObservationError, InputError
-from .montecarlo import MCEstimate, rate_estimate
 
 #: Likelihood-ratio thresholds commonly treated as "moderate" and "strong".
 ROYALL_THRESHOLDS = (8.0, 16.0)
@@ -327,35 +324,3 @@ def log_ratio_table(h: FiniteDistribution, k: FiniteDistribution) -> np.ndarray:
         else:
             out[i] = log_probability(pk) - log_probability(ph)
     return out
-
-
-def robbins_violation_probability(
-    h: FiniteDistribution,
-    k: FiniteDistribution,
-    s: float,
-    horizon: int,
-    reps: int,
-    seed: Seed,
-) -> MCEstimate:
-    """Fraction of H-generated paths whose likelihood ratio ever reaches s
-    within the horizon.
-
-    However the alternative is chosen, this probability is at most 1/s,
-    so an unbounded ratio threshold keeps its error guarantee without any
-    look schedule. Replication i draws from seed.rng(i), so the estimate
-    is reproducible and independent of how replications are batched.
-    """
-    if not s > 1:
-        raise InputError(f"threshold must exceed 1, got {s!r}")
-    if horizon < 1 or reps < 1:
-        raise InputError("horizon and reps must be at least 1")
-    table = log_ratio_table(h, k)
-    log_s = math.log(s)
-    crossed = 0
-    for i in range(reps):
-        rng = seed.rng(i)
-        idx = _finite_indices(h, horizon, rng)
-        path = np.cumsum(table[idx])
-        if path.max() >= log_s:
-            crossed += 1
-    return rate_estimate(crossed, reps)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .dist import FiniteDistribution, Probability, as_probability, log_probability
+from .dist import FiniteDistribution, Probability, as_probability
 from .errors import InputError, UnorderedAlphabetError
 
 
@@ -149,13 +149,7 @@ def identical_point_prob_pair():
 
 
 def float_with_exponent(p: Probability) -> float:
-    """Render a possibly huge-denominator rational as a float, going
-    through log space when direct conversion would overflow."""
-    if isinstance(p, float):
-        return p
-    try:
-        return float(p)
-    except OverflowError:
-        if p == 0:
-            return 0.0
-        return math.exp(log_probability(p))
+    """A probability as the nearest double. Converting a Fraction rounds
+    correctly however large its denominator, and cannot overflow for
+    p <= 1; a tail below the double range reads as 0.0."""
+    return float(p)

@@ -24,6 +24,15 @@ Scenario keys
   map                n, prior-h
   hoeffding          n, delta
   optional-stopping  alpha, looks (space-separated), s, lr-eta
+
+Sizes (horizon, n) are at least 1 (bayes/map n at least 0), s is finite
+and at least 1, optional-stopping alpha lies in (0, 1) and lr-eta is
+positive and finite; any other value is a ScenarioError naming its key.
+
+The library's Monte Carlo estimators replicate here too, so this module
+owns every replication loop and seed stream: optional_stopping_alpha and
+robbins_violation_probability wrap ``run``, evidence_rate shares the
+bayes/map ln r_n sampler, and family_wise_error uses ``_for_each_rep``.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import evidential, fisher, info_geometry, neyman_pearson
+from . import fisher, info_geometry, neyman_pearson
 from .dist import (
     FiniteDistribution,
     GaussianPair,
@@ -52,7 +61,7 @@ from .dist import (
     gaussian_quantile,
     parse_probability,
 )
-from .errors import ScenarioError, TestlabError
+from .errors import InfiniteDivergenceError, InputError, ScenarioError, TestlabError
 from .evidential import Priors, log_ratio_table
 from .montecarlo import MCEstimate, mean_estimate, rate_estimate
 
@@ -204,33 +213,45 @@ def load_scenario(path) -> Scenario:
 # --- typed access to [params] -------------------------------------------
 
 
-def _param(scenario, key, convert, default=None, required=False):
+def _param(scenario, key, convert, default=None, required=False, check=None):
+    """Convert params[key]; check = (predicate, what the value must be)."""
     raw = scenario.params.get(key)
     if raw is None:
         if required:
             raise ScenarioError(f"scenario {scenario.name}: missing param {key!r}")
         return default
     try:
-        return convert(raw)
+        value = convert(raw)
     except (ValueError, TypeError) as exc:
         raise ScenarioError(
             f"scenario {scenario.name}: bad value {raw!r} for {key!r}"
         ) from exc
+    if check is not None and not check[0](value):
+        raise ScenarioError(
+            f"scenario {scenario.name}: {key!r} must be {check[1]}, got {raw!r}"
+        )
+    return value
 
 
-def _int_param(scenario, key, default=None, required=False):
-    return _param(scenario, key, lambda v: int(str(v)), default, required)
+_THRESHOLD = (lambda v: math.isfinite(v) and v >= 1, "finite and at least 1")
+_LEVEL = (lambda v: 0 < v < 1, "in (0, 1)")
 
 
-def _float_param(scenario, key, default=None, required=False):
-    return _param(scenario, key, lambda v: float(str(v)), default, required)
+def _int_param(scenario, key, default=None, required=False, least=1):
+    check = (lambda v: v >= least, f"at least {least}")
+    return _param(scenario, key, lambda v: int(str(v)), default, required, check)
+
+
+def _float_param(scenario, key, default=None, required=False, check=None):
+    return _param(scenario, key, lambda v: float(str(v)), default, required, check)
+
+
+def _ints(text):
+    return tuple(int(part) for part in str(text).split())
 
 
 def _looks_param(scenario):
-    raw = scenario.params.get("looks")
-    if raw is None:
-        raise ScenarioError(f"scenario {scenario.name}: missing param 'looks'")
-    looks = tuple(int(part) for part in str(raw).split())
+    looks = _param(scenario, "looks", _ints, required=True)
     if not looks or any(b <= a for a, b in zip(looks, looks[1:])) or looks[0] < 1:
         raise ScenarioError(
             f"scenario {scenario.name}: looks must be strictly increasing, got {looks}"
@@ -292,17 +313,10 @@ def _run_fisher(scenario, report, workers):
         direction = fisher.TailDirection.parse(
             scenario.params.get("direction", "le")
         )
-        observed = scenario.params["observed"]
-        if observed not in scenario.h.alphabet:
-            # scenario alphabets may be numeric; retry on parsed labels
-            try:
-                observed = type(scenario.h.alphabet[0])(observed)
-            except (TypeError, ValueError):
-                pass
-        rep = fisher.p_value(scenario.h, observed, direction)
+        rep = fisher.p_value(scenario.h, scenario.params["observed"], direction)
     else:
         n = _int_param(scenario, "n", required=True)
-        k = _int_param(scenario, "k", required=True)
+        k = _int_param(scenario, "k", required=True, least=0)
         theta = scenario.params.get("theta", "1/2")
         direction = fisher.TailDirection.parse(
             scenario.params.get("direction", "ge")
@@ -319,11 +333,10 @@ def _run_fisher(scenario, report, workers):
 
 
 def _lr_checkpoints(scenario, n):
-    raw = scenario.params.get("checkpoints")
-    if raw is None:
+    points = _param(scenario, "checkpoints", _ints)
+    if points is None:
         quarters = sorted({max(1, n // 4), max(1, n // 2), max(1, (3 * n) // 4), n})
         return tuple(quarters)
-    points = tuple(int(part) for part in str(raw).split())
     if any(p < 1 or p > n for p in points):
         raise ScenarioError(f"scenario {scenario.name}: checkpoints outside 1..{n}")
     return points
@@ -332,7 +345,7 @@ def _lr_checkpoints(scenario, n):
 def _run_lr(scenario, report, workers):
     h, k = _require_pair(scenario)
     truth = _truth_dist(scenario)
-    s = _float_param(scenario, "s", default=8.0)
+    s = _float_param(scenario, "s", default=8.0, check=_THRESHOLD)
     table = log_ratio_table(h, k)
     log_s = math.log(s)
     reps = scenario.reps
@@ -387,35 +400,46 @@ def _run_lr(scenario, report, workers):
             )
 
 
-def _run_bayes(scenario, report, workers):
-    h, k = _require_pair(scenario)
-    truth = _truth_dist(scenario)
-    n = _int_param(scenario, "n", required=True)
-    prior_h = _float_param(scenario, "prior-h", default=0.5)
-    priors = Priors(prior_h)
-    table = log_ratio_table(h, k)
-    reps = scenario.reps
-    seed = scenario.seed
-    report.values["n"] = n
-    report.values["prior_h"] = prior_h
-
+def _sum_log_lr(truth, table, n, reps, seed, workers):
+    """ln r_n of n draws from truth per replication; table[j] = ln P_K/P_H."""
     sums = np.empty(reps, dtype=np.float64)
 
     def body(i):
-        rng = seed.rng(i)
-        idx = _finite_indices(truth, n, rng)
+        idx = _finite_indices(truth, n, seed.rng(i))
         sums[i] = table[idx].sum()
 
     _for_each_rep(reps, workers, body)
+    return sums
 
-    log_odds = sums + priors.log_odds
+
+def _tally(report, decide_k):
+    """Record per-replication K/H decisions; returns how many chose K."""
+    count = int(decide_k.sum())
+    report.verdicts = tuple("K" if d else "H" for d in decide_k)
+    report.verdict_counts["decide_k"] = count
+    report.verdict_counts["decide_h"] = len(decide_k) - count
+    report.rates["decide_k_rate"] = rate_estimate(count, len(decide_k))
+    return count
+
+
+def _log_posterior_odds(scenario, report, workers):
+    """ln(pi_k / pi_h) + ln r_n per replication, for bayes and map."""
+    h, k = _require_pair(scenario)
+    n = _int_param(scenario, "n", required=True, least=0)
+    prior_h = _float_param(scenario, "prior-h", default=0.5)
+    priors = Priors(prior_h)
+    report.values["n"] = n
+    report.values["prior_h"] = prior_h
+    truth, table = _truth_dist(scenario), log_ratio_table(h, k)
+    sums = _sum_log_lr(truth, table, n, scenario.reps, scenario.seed, workers)
+    return sums + priors.log_odds
+
+
+def _run_bayes(scenario, report, workers):
+    log_odds = _log_posterior_odds(scenario, report, workers)
     with np.errstate(over="ignore"):  # exp overflow saturates to 0/1 correctly
         posterior = 1.0 / (1.0 + np.exp(-log_odds))
-    decide_k = log_odds > 0
-    report.verdicts = tuple("K" if d else "H" for d in decide_k)
-    report.verdict_counts["decide_k"] = int(decide_k.sum())
-    report.verdict_counts["decide_h"] = reps - int(decide_k.sum())
-    report.rates["decide_k_rate"] = rate_estimate(int(decide_k.sum()), reps)
+    _tally(report, log_odds > 0)
     report.rates["mean_posterior_k"] = mean_estimate(posterior)
 
 
@@ -448,44 +472,15 @@ def _run_np(scenario, report, workers):
         decide_k[i] = bool(xbar >= rule.cutoff)
 
     _for_each_rep(reps, workers, body)
-
-    count = int(decide_k.sum())
-    report.verdicts = tuple("K" if d else "H" for d in decide_k)
-    report.verdict_counts["decide_k"] = count
-    report.verdict_counts["decide_h"] = reps - count
-    report.rates["decide_k_rate"] = rate_estimate(count, reps)
+    count = _tally(report, decide_k)
     wrong = count if scenario.truth == "H" else reps - count
     report.rates["error_rate"] = rate_estimate(wrong, reps)
 
 
 def _run_map(scenario, report, workers):
-    h, k = _require_pair(scenario)
-    truth = _truth_dist(scenario)
-    n = _int_param(scenario, "n", required=True)
-    prior_h = _float_param(scenario, "prior-h", default=0.5)
-    priors = Priors(prior_h)
-    table = log_ratio_table(h, k)
-    reps = scenario.reps
-    seed = scenario.seed
-    report.values["n"] = n
-    report.values["prior_h"] = prior_h
-
-    decide_k = np.zeros(reps, dtype=bool)
-
-    def body(i):
-        rng = seed.rng(i)
-        idx = _finite_indices(truth, n, rng)
-        decide_k[i] = bool(priors.log_odds + table[idx].sum() > 0)
-
-    _for_each_rep(reps, workers, body)
-
-    count = int(decide_k.sum())
-    report.verdicts = tuple("K" if d else "H" for d in decide_k)
-    report.verdict_counts["decide_k"] = count
-    report.verdict_counts["decide_h"] = reps - count
-    report.rates["decide_k_rate"] = rate_estimate(count, reps)
-    wrong = count if scenario.truth == "H" else reps - count
-    report.rates["error_rate"] = rate_estimate(wrong, reps)
+    count = _tally(report, _log_posterior_odds(scenario, report, workers) > 0)
+    wrong = count if scenario.truth == "H" else scenario.reps - count
+    report.rates["error_rate"] = rate_estimate(wrong, scenario.reps)
 
 
 def _run_hoeffding(scenario, report, workers):
@@ -535,9 +530,9 @@ def _run_hoeffding(scenario, report, workers):
 
 
 def _run_optional_stopping(scenario, report, workers):
-    alpha = _float_param(scenario, "alpha", default=0.05)
+    alpha = _float_param(scenario, "alpha", default=0.05, check=_LEVEL)
     looks = _looks_param(scenario)
-    s = _float_param(scenario, "s", default=1.0 / alpha)
+    s = _float_param(scenario, "s", default=1.0 / alpha, check=_THRESHOLD)
     reps = scenario.reps
     seed = scenario.seed
     report.values["alpha"] = alpha
@@ -546,6 +541,9 @@ def _run_optional_stopping(scenario, report, workers):
     report.values["looks"] = " ".join(str(n) for n in looks)
     horizon = looks[-1]
     marks = np.array(looks) - 1
+    log_s = math.log(s)
+    rejected = np.zeros((reps, len(looks)), dtype=bool)
+    crossed = np.zeros((reps, len(looks)), dtype=bool)
 
     pair = scenario.gaussian
     if pair is not None:
@@ -556,16 +554,11 @@ def _run_optional_stopping(scenario, report, workers):
             )
         sigma = pair.sigma
         mu = pair.mu_h
-        eta = _float_param(scenario, "lr-eta", default=0.5 * sigma)
-        if eta <= 0:
-            raise ScenarioError(f"scenario {scenario.name}: lr-eta must be positive")
+        positive = (lambda v: 0 < v < math.inf, "positive and finite")
+        eta = _float_param(scenario, "lr-eta", default=0.5 * sigma, check=positive)
         report.values["lr_eta"] = eta
         z_crit = gaussian_quantile(1.0 - alpha)
         sqrt_looks = np.sqrt(np.array(looks, dtype=np.float64))
-        log_s = math.log(s)
-
-        rejected = np.zeros((reps, len(looks)), dtype=bool)
-        crossed = np.zeros((reps, len(looks)), dtype=bool)
 
         def body(i):
             rng = seed.rng(i)
@@ -602,10 +595,6 @@ def _run_optional_stopping(scenario, report, workers):
             cutoffs.append(cut)
         cutoffs = np.array(cutoffs)
         table = log_ratio_table(h, k)
-        log_s = math.log(s)
-
-        rejected = np.zeros((reps, len(looks)), dtype=bool)
-        crossed = np.zeros((reps, len(looks)), dtype=bool)
 
         def body(i):
             rng = seed.rng(i)
@@ -617,14 +606,9 @@ def _run_optional_stopping(scenario, report, workers):
 
         _for_each_rep(reps, workers, body)
 
-    for j, n_j in enumerate(looks):
-        report.rates[f"cumulative_reject@{n_j}"] = rate_estimate(
-            int(rejected[:, j].sum()), reps
-        )
-    for j, n_j in enumerate(looks):
-        report.rates[f"lr_crossed@{n_j}"] = rate_estimate(
-            int(crossed[:, j].sum()), reps
-        )
+    for name, hits in (("cumulative_reject", rejected), ("lr_crossed", crossed)):
+        for j, n_j in enumerate(looks):
+            report.rates[f"{name}@{n_j}"] = rate_estimate(int(hits[:, j].sum()), reps)
 
 
 _RUNNERS = {
@@ -738,6 +722,57 @@ def optional_stopping_alpha(
     )
 
 
+def robbins_violation_probability(
+    h: FiniteDistribution,
+    k: FiniteDistribution,
+    s: float,
+    horizon: int,
+    reps: int,
+    seed: Seed,
+) -> MCEstimate:
+    """Fraction of H-generated paths whose likelihood ratio ever reaches s
+    within the horizon.
+
+    However the alternative is chosen, this probability is at most 1/s,
+    so an unbounded ratio threshold keeps its error guarantee without any
+    look schedule. This is the crossing rate of an lr scenario in horizon
+    mode, so it is reproducible and independent of the worker count.
+    """
+    if not s > 1:
+        raise InputError(f"threshold must exceed 1, got {s!r}")
+    scenario = Scenario(
+        name="robbins",
+        paradigm="lr",
+        truth="H",
+        reps=reps,
+        seed=seed,
+        h=h,
+        k=k,
+        params={"s": repr(float(s)), "horizon": str(horizon)},
+    )
+    return run(scenario).rates["crossing_rate"]
+
+
+def evidence_rate(
+    h: FiniteDistribution,
+    k: FiniteDistribution,
+    n: int,
+    reps: int,
+    seed: Seed,
+) -> MCEstimate:
+    """Mean of (1/n) ln r_n over K-generated samples.
+
+    As n grows this concentrates on D(k || h), which must be finite here.
+    """
+    if n < 1 or reps < 1:
+        raise InputError("n and reps must be at least 1")
+    if info_geometry.kl(k, h).is_infinite:
+        raise InfiniteDivergenceError(
+            "evidence rate needs D(k||h) finite; the supports differ"
+        )
+    return mean_estimate(_sum_log_lr(k, log_ratio_table(h, k), n, reps, seed, 1) / n)
+
+
 def family_wise_error(
     m: int,
     family_alpha: float,
@@ -762,19 +797,18 @@ def family_wise_error(
     shift = eta * math.sqrt(n) / sigma
     analytic_power = 1.0 - gaussian_cdf(z_crit - shift)
 
-    any_reject = 0
-    power_hits = 0
-    for i in range(reps):
-        rng = seed.rng(i)
-        z_null = rng.standard_normal(m)
-        if np.any(z_null >= z_crit):
-            any_reject += 1
-        z_alt = rng.standard_normal() + shift
-        if z_alt >= z_crit:
-            power_hits += 1
+    any_reject = np.zeros(reps, dtype=bool)
+    power_hit = np.zeros(reps, dtype=bool)
+
+    def body(i):
+        rng = seed.rng(i)  # m null statistics, then one alternative
+        any_reject[i] = np.any(rng.standard_normal(m) >= z_crit)
+        power_hit[i] = rng.standard_normal() + shift >= z_crit
+
+    _for_each_rep(reps, 1, body)
     return (
         per_test,
-        rate_estimate(any_reject, reps),
+        rate_estimate(int(any_reject.sum()), reps),
         analytic_power,
-        rate_estimate(power_hits, reps),
+        rate_estimate(int(power_hit.sum()), reps),
     )

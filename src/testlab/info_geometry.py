@@ -16,25 +16,15 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-import numpy as np
-
 from .dist import (
     EmpiricalDistribution,
     FiniteDistribution,
-    Seed,
-    _finite_indices,
     empirical,
     log_probability,
     require_same_alphabet,
 )
-from .errors import EmptySampleError, InfiniteDivergenceError, InputError
-from .evidential import (
-    Priors,
-    Verdict,
-    evidence_from_counts,
-    log_ratio_table,
-)
-from .montecarlo import MCEstimate, mean_estimate
+from .errors import EmptySampleError, InputError
+from .evidential import Priors, Verdict, evidence_from_counts
 
 
 @dataclass(frozen=True)
@@ -174,32 +164,6 @@ def lr_threshold_as_kl_margin(
         accept_k = d_h - margin >= d_k
     verdict = Verdict.ACCEPT_K if accept_k else Verdict.ACCEPT_H
     return KlMarginVerdict(verdict, margin, d_h, d_k)
-
-
-def evidence_rate(
-    h: FiniteDistribution,
-    k: FiniteDistribution,
-    n: int,
-    reps: int,
-    seed: Seed,
-) -> MCEstimate:
-    """Mean of (1/n) ln r_n over K-generated samples.
-
-    As n grows this concentrates on D(k || h), which must be finite here.
-    """
-    if n < 1 or reps < 1:
-        raise InputError("n and reps must be at least 1")
-    if kl(k, h).is_infinite:
-        raise InfiniteDivergenceError(
-            "evidence rate needs D(k||h) finite; the supports differ"
-        )
-    table = log_ratio_table(h, k)
-    values = np.empty(reps, dtype=np.float64)
-    for i in range(reps):
-        rng = seed.rng(i)
-        idx = _finite_indices(k, n, rng)
-        values[i] = table[idx].sum() / n
-    return mean_estimate(values)
 
 
 def types_bound_radius(alphabet_size: int, n: int, delta: float) -> float:

@@ -221,6 +221,41 @@ def test_simulate_reps_and_seed_overrides(capsys, tmp_path):
     assert ",meta,seed_root,99," in out
 
 
+@pytest.mark.parametrize(
+    "paradigm, params, key",
+    [
+        ("lr", {"s": "8", "horizon": "0"}, "horizon"),
+        ("lr", {"s": "8", "horizon": "-3"}, "horizon"),
+        ("lr", {"s": "8", "n": "0"}, "n"),
+        ("bayes", {"n": "-1"}, "n"),
+        ("map", {"n": "-1"}, "n"),
+        ("lr", {"s": "0", "horizon": "5"}, "s"),
+        ("lr", {"s": "-2", "horizon": "5"}, "s"),
+        ("lr", {"s": "nan", "horizon": "5"}, "s"),
+        ("lr", {"s": "inf", "horizon": "5"}, "s"),
+        ("lr", {"s": "8", "n": "10", "checkpoints": "x"}, "checkpoints"),
+        ("optional-stopping", {"alpha": "0", "looks": "5 10"}, "alpha"),
+        ("optional-stopping", {"alpha": "0.05", "s": "0", "looks": "5 10"}, "s"),
+        ("optional-stopping", {"alpha": "0.05", "looks": "5 x"}, "looks"),
+        ("optional-stopping", {"looks": "5 10", "lr-eta": "nan"}, "lr-eta"),
+        ("optional-stopping", {"looks": "5 10", "lr-eta": "inf"}, "lr-eta"),
+    ],
+)
+def test_simulate_rejects_out_of_range_params(capsys, tmp_path, paradigm, params, key):
+    scenario = tmp_path / "s.scenario"
+    scenario.write_text(
+        f"[scenario]\nname = edge\nparadigm = {paradigm}\nreps = 5\n\n"
+        "[hypothesis-h]\na = 1/2\nb = 1/2\n\n"
+        "[hypothesis-k]\na = 3/4\nb = 1/4\n\n"
+        "[gaussian]\nmu-h = 0\nmu-k = 0\nsigma = 1\n\n"
+        "[params]\n" + "".join(f"{k} = {v}\n" for k, v in params.items())
+    )
+    rc, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert rc == 1
+    assert "scenario edge" in err
+    assert repr(key) in err
+
+
 # --- exit codes -------------------------------------------------------------------
 
 
