@@ -2,9 +2,9 @@
 design, divergence tests and scenario simulation.
 
 Exit codes: 0 success, 1 input error, 2 internal error. Everything that
-affects results is an explicit flag or scenario key; the only environment
-variable honoured is TESTLAB_THREADS (worker count, which never changes
-numbers).
+affects results is an explicit flag or scenario key, and no environment
+variable is read; simulate --workers sets the thread count, which never
+changes numbers.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def _cmd_fisher(args):
     significant = report.significant(args.level)
     pairs = [
         ("p_exact", report.p),
-        ("p_float", fisher.float_with_exponent(report.p)),
+        ("p_float", float(report.p)),
         ("point_prob", report.point_prob),
         ("n_extreme", report.n_extreme),
         ("level", args.level),
@@ -81,7 +81,7 @@ def _cmd_fisher(args):
     ]
     text = [
         f"p-value (exact)   = {_render(report.p)}",
-        f"p-value (float)   = {fisher.float_with_exponent(report.p):.6e}",
+        f"p-value (float)   = {float(report.p):.6e}",
         f"point probability = {_render(report.point_prob)}",
         f"tail outcomes     = {report.n_extreme}",
         f"significant at {_render(args.level)}? {'yes' if significant else 'no'}",
@@ -218,8 +218,8 @@ def _cmd_map(args):
     k = read_distribution(args.k_dist)
     xs = read_symbols(args.data)
     priors = Priors(parse_probability(args.prior_h))
-    decision = info_geometry.map_decide(h, k, priors, xs)
-    ev = evidential.evidence_from_sample(h, k, xs)
+    ev, d_h, d_k = info_geometry._evidence_and_divergences(h, k, xs)
+    decision = info_geometry._map_decision(priors, ev, d_h, d_k)
     pairs = [
         ("n", len(xs)),
         ("prior_h", float(priors.pi_h)),
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--reps", type=int, help="override the scenario's replication count")
     p.add_argument("--seed", type=int, help="override the scenario's seed root")
-    p.add_argument("--workers", type=int, help="thread count (results never depend on it)")
+    p.add_argument("--workers", type=int, default=1, help="thread count (results never depend on it)")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_simulate)
 
@@ -355,14 +355,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliInputError as exc:
+    except (_CliInputError, TestlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (TestlabError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except SystemExit:
-        raise
     except Exception as exc:  # noqa: BLE001 - contract: unexpected failure exits 2
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR

@@ -214,6 +214,13 @@ def empirical(xs: Sequence, alphabet: Sequence) -> EmpiricalDistribution:
     return EmpiricalDistribution(labels, tuple(counts), len(xs))
 
 
+def _check_normal(sigma, *means) -> None:
+    if not 0 < sigma < math.inf:
+        raise DistributionError(f"sigma must be positive and finite, got {sigma!r}")
+    if not all(map(math.isfinite, means)):
+        raise DistributionError(f"means must be finite, got {means!r}")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """One normal component N(mean, sigma)."""
@@ -222,8 +229,7 @@ class Gaussian:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise DistributionError(f"sigma must be positive, got {self.sigma!r}")
+        _check_normal(self.sigma, self.mean)
 
     def log_density(self, x: float) -> float:
         z = (x - self.mean) / self.sigma
@@ -243,8 +249,7 @@ class GaussianPair:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise DistributionError(f"sigma must be positive, got {self.sigma!r}")
+        _check_normal(self.sigma, self.mu_h, self.mu_k)
         if self.mu_k < self.mu_h:
             raise DistributionError(
                 f"effect mu_k - mu_h = {self.mu_k - self.mu_h!r} is negative; "

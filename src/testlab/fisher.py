@@ -147,9 +147,3 @@ def identical_point_prob_pair():
     )
     return sharp, heavy, 2
 
-
-def float_with_exponent(p: Probability) -> float:
-    """A probability as the nearest double. Converting a Fraction rounds
-    correctly however large its denominator, and cannot overflow for
-    p <= 1; a tail below the double range reads as 0.0."""
-    return float(p)

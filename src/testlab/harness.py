@@ -37,11 +37,11 @@ bayes/map ln r_n sampler, and family_wise_error uses ``_for_each_rep``.
 
 from __future__ import annotations
 
+import bisect
 import configparser
 import csv
 import io
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -76,8 +76,6 @@ PARADIGMS = (
 )
 
 _CHUNK = 1024  # fixed chunking so worker count cannot reorder anything
-
-THREADS_ENV_VAR = "TESTLAB_THREADS"
 
 
 @dataclass(frozen=True)
@@ -272,12 +270,6 @@ def _truth_dist(scenario):
     return h if scenario.truth == "H" else k
 
 
-def _workers(workers) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
-
-
 def _for_each_rep(reps: int, workers: int, body) -> None:
     """Run body(rep_index) for every replication, chunked for thread reuse.
 
@@ -324,9 +316,9 @@ def _run_fisher(scenario, report, workers):
         rep = fisher.binomial_tail(n, k, theta, direction)
     report.values["direction"] = rep.direction.value
     report.values["p_exact"] = rep.p
-    report.values["p_float"] = fisher.float_with_exponent(rep.p)
+    report.values["p_float"] = float(rep.p)
     report.values["point_prob"] = rep.point_prob
-    report.values["point_prob_float"] = fisher.float_with_exponent(rep.point_prob)
+    report.values["point_prob_float"] = float(rep.point_prob)
     report.values["n_extreme"] = rep.n_extreme
     report.values["level"] = level
     report.values["significant"] = rep.significant(level)
@@ -484,17 +476,13 @@ def _run_map(scenario, report, workers):
 
 
 def _run_hoeffding(scenario, report, workers):
-    if scenario.h is None:
-        raise ScenarioError(f"scenario {scenario.name}: needs [hypothesis-h]")
     h = scenario.h
-    if scenario.truth == "H":
-        truth = h
-    else:
-        if scenario.k is None:
-            raise ScenarioError(
-                f"scenario {scenario.name}: truth=K needs [hypothesis-k]"
-            )
-        truth = scenario.k
+    truth = h if scenario.truth == "H" else scenario.k
+    if h is None or truth is None:
+        raise ScenarioError(
+            f"scenario {scenario.name}: needs [hypothesis-h], and [hypothesis-k] "
+            "for truth=K"
+        )
     n = _int_param(scenario, "n", required=True)
     delta = _float_param(scenario, "delta", default=0.05)
     radius = info_geometry.types_bound_radius(h.size, n, delta)
@@ -583,17 +571,16 @@ def _run_optional_stopping(scenario, report, workers):
             )
         h, k = scenario.h, scenario.k
         theta = h.probs[1]
-        # smallest count whose upper tail is significant, per look; the
-        # per-look test then reduces to a threshold on running counts
-        cutoffs = []
-        for n_j in looks:
-            cut = n_j + 1
-            for c in range(n_j + 1):
-                if fisher.binomial_tail(n_j, c, theta).significant(alpha):
-                    cut = c
-                    break
-            cutoffs.append(cut)
-        cutoffs = np.array(cutoffs)
+        # per look, bisect for the first count whose (shrinking) upper tail is
+        # significant, n_j + 1 if none is: a threshold on running counts
+        cutoffs = np.array([
+            bisect.bisect_left(
+                range(n_j + 1),
+                True,
+                key=lambda c: fisher.binomial_tail(n_j, c, theta).significant(alpha),
+            )
+            for n_j in looks
+        ])
         table = log_ratio_table(h, k)
 
         def body(i):
@@ -622,7 +609,7 @@ _RUNNERS = {
 }
 
 
-def run(scenario: Scenario, workers: Optional[int] = None) -> SimulationReport:
+def run(scenario: Scenario, workers: int = 1) -> SimulationReport:
     """Execute a scenario and return its report.
 
     Deterministic given (scenario, seed): rerunning, or running with a
@@ -643,7 +630,7 @@ def run(scenario: Scenario, workers: Optional[int] = None) -> SimulationReport:
     )
     started = time.perf_counter()
     try:
-        _RUNNERS[scenario.paradigm](scenario, report, _workers(workers))
+        _RUNNERS[scenario.paradigm](scenario, report, max(1, int(workers)))
     except ScenarioError:
         raise
     except TestlabError as exc:

@@ -24,7 +24,7 @@ from .dist import (
     require_same_alphabet,
 )
 from .errors import EmptySampleError, InputError
-from .evidential import Priors, Verdict, evidence_from_counts
+from .evidential import LogEvidence, Priors, Verdict, evidence_from_counts
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,17 @@ def kl(
     return Divergence(total)
 
 
+def _evidence_and_divergences(
+    h: FiniteDistribution, k: FiniteDistribution, xs: Sequence
+) -> tuple[LogEvidence, float, float]:
+    """Count xs once: (evidence, D(emp||h), D(emp||k)), divergences 0 if empty."""
+    emp = empirical(xs, h.alphabet)
+    ev = evidence_from_counts(h, k, emp.counts, emp.n)
+    if emp.n == 0:
+        return ev, 0.0, 0.0
+    return ev, float(kl(emp, h)), float(kl(emp, k))
+
+
 def loglr_kl_identity_check(
     h: FiniteDistribution, k: FiniteDistribution, xs: Sequence
 ) -> tuple[float, float]:
@@ -82,13 +93,8 @@ def loglr_kl_identity_check(
     A sample that a hypothesis's support excludes drives its divergence,
     and the matching side of the identity, to an exact infinity.
     """
-    n = len(xs)
-    if n == 0:
-        return 0.0, 0.0
-    emp = empirical(xs, h.alphabet)
-    ev = evidence_from_counts(h, k, emp.counts, n)
-    rhs = n * (float(kl(emp, h)) - float(kl(emp, k)))
-    return ev.sum_log_lr, rhs
+    ev, d_h, d_k = _evidence_and_divergences(h, k, xs)
+    return ev.sum_log_lr, ev.n * (d_h - d_k)
 
 
 def map_decide(
@@ -101,17 +107,13 @@ def map_decide(
     ln(1/pi_k) + n D(emp||k) is evaluated as well and must point the same
     way; a disagreement beyond tie-zone rounding is a logic error.
     """
-    emp = empirical(xs, h.alphabet)
-    n = emp.n
-    ev = evidence_from_counts(h, k, emp.counts, n)
+    return _map_decision(priors, *_evidence_and_divergences(h, k, xs))
+
+
+def _map_decision(priors: Priors, ev: LogEvidence, d_h: float, d_k: float) -> str:
+    n = ev.n
     score = priors.log_odds + ev.sum_log_lr
     decision = "K" if score > 0 else "H"
-
-    if n == 0:
-        d_h = d_k = 0.0
-    else:
-        d_h = float(kl(emp, h))
-        d_k = float(kl(emp, k))
     alt_score = (-log_probability(priors.pi_h) + n * d_h) - (
         -log_probability(priors.pi_k) + n * d_k
     )
@@ -152,11 +154,8 @@ def lr_threshold_as_kl_margin(
         raise InputError(f"threshold must be finite, got {s!r}")
     if s < 1:
         raise InputError(f"threshold must be at least 1, got {s!r}")
-    emp = empirical(xs, h.alphabet)
-    ev = evidence_from_counts(h, k, emp.counts, n)
+    ev, d_h, d_k = _evidence_and_divergences(h, k, xs)
     margin = math.log(s) / n
-    d_h = float(kl(emp, h))
-    d_k = float(kl(emp, k))
     if ev.exact_ratio is not None:
         s_exact = s if isinstance(s, Fraction) else Fraction(s)
         accept_k = ev.exact_ratio >= s_exact

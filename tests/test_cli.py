@@ -159,6 +159,35 @@ def test_np_midpoint_when_alpha_omitted(capsys):
     assert float(row["alpha"]) == pytest.approx(0.0227501, abs=1e-6)
 
 
+@pytest.mark.parametrize("command", ["np", "simulate"])
+@pytest.mark.parametrize(
+    "mu_h, mu_k, sigma",
+    [
+        ("0", "nan", "1"),
+        ("nan", "1", "1"),
+        ("0", "inf", "1"),
+        ("-inf", "0", "1"),
+        ("0", "1", "inf"),
+        ("0", "1", "nan"),
+    ],
+)
+def test_non_finite_gaussian_parameters_exit_1(capsys, tmp_path, command, mu_h, mu_k, sigma):
+    if command == "np":
+        argv = ["np", f"--mu-h={mu_h}", f"--mu-k={mu_k}", f"--sigma={sigma}", "--n", "4"]
+    else:
+        scenario = tmp_path / "s.scenario"
+        scenario.write_text(
+            "[scenario]\nname = edge\nparadigm = np\nreps = 5\n\n"
+            f"[gaussian]\nmu-h = {mu_h}\nmu-k = {mu_k}\nsigma = {sigma}\n\n"
+            "[params]\nn = 4\nalpha = 0.05\n"
+        )
+        argv = ["simulate", "--scenario", str(scenario)]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert "finite, got" in err
+
+
 def test_power_solves_n(capsys):
     rc, out, _ = run_cli(
         capsys,

@@ -214,6 +214,15 @@ def test_gaussian_pair_rejects_bad_sigma():
         GaussianPair(0.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "mean, sigma",
+    [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, math.nan), (0.0, -1.0)],
+)
+def test_gaussian_rejects_non_finite_parameters(mean, sigma):
+    with pytest.raises(DistributionError):
+        Gaussian(mean, sigma)
+
+
 def test_log_density_ratio_matches_densities():
     pair = GaussianPair(0.0, 1.0, 0.7)
     for x in (-1.0, 0.2, 3.0):

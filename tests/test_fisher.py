@@ -15,7 +15,6 @@ from testlab import (
     significance_verdict,
 )
 from testlab.errors import InputError, UnorderedAlphabetError
-from testlab.fisher import float_with_exponent
 
 from helpers import random_rational_dist, super_uniformity_holds
 
@@ -32,7 +31,7 @@ def test_eighty_of_eighty_two():
     assert report.p == Fraction(3404, 2**82)
     assert report.point_prob == Fraction(math.comb(82, 80), 2**82)
     assert report.n_extreme == 3
-    assert f"{float_with_exponent(report.p):.0e}" == "7e-22"
+    assert f"{float(report.p):.0e}" == "7e-22"
 
 
 def test_all_of_eighty_two():
@@ -60,6 +59,20 @@ def test_complement_identity_exact():
         upper = binomial_tail(n, k + 1, theta, GE).p
         lower = binomial_tail(n, k, theta, LE).p
         assert upper + lower == 1
+
+
+@given(
+    st.integers(min_value=1, max_value=25),
+    st.one_of(
+        st.fractions(min_value=0, max_value=1, max_denominator=60),
+        st.floats(min_value=0, max_value=1),
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_upper_tail_does_not_increase_with_count(n, theta):
+    # the optional-stopping runner bisects for the first significant count
+    tails = [binomial_tail(n, c, theta).p for c in range(n + 1)]
+    assert all(a >= b for a, b in zip(tails, tails[1:]))
 
 
 def test_binomial_tail_input_checks():

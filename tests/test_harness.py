@@ -2,12 +2,14 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from testlab import (
     GaussianPair,
     Seed,
     Verdict,
+    binomial_tail,
     family_wise_error,
     lr_threshold_as_kl_margin,
     load_scenario,
@@ -114,15 +116,6 @@ def test_worker_count_does_not_change_results():
     serial = run_scenario(scenario, workers=1)
     threaded = run_scenario(scenario, workers=4)
     assert _csv_without_clock(serial) == _csv_without_clock(threaded)
-
-
-def test_thread_env_var_only_sets_workers(monkeypatch):
-    scenario = small_lr_scenario()
-    monkeypatch.setenv("TESTLAB_THREADS", "3")
-    a = run_scenario(scenario)
-    monkeypatch.setenv("TESTLAB_THREADS", "1")
-    b = run_scenario(scenario)
-    assert _csv_without_clock(a) == _csv_without_clock(b)
 
 
 def test_rates_are_probabilities_with_finite_se():
@@ -257,6 +250,52 @@ def test_optional_stopping_finite_alphabet_variant():
     assert cum == sorted(cum)
     final_lr = report.rates["lr_crossed@60"]
     assert final_lr.value <= 1 / 20 + 3 * final_lr.se
+
+
+def _first_significant_count(n, theta, alpha):
+    # reference search: try every count in turn; n + 1 if none is significant
+    for c in range(n + 1):
+        if binomial_tail(n, c, theta).significant(alpha):
+            return c
+    return n + 1
+
+
+@pytest.mark.parametrize(
+    "p_first, alpha, looks",
+    [
+        (Fraction(1, 2), 0.05, (10, 25, 40)),
+        (Fraction(2, 3), 0.01, (5, 17, 30)),
+        (Fraction(1, 10), 0.2, (1, 2, 8)),
+        (Fraction(3, 4), 0.5, (3, 6, 9, 12)),
+        # no count is significant at n = 10: the smallest tail there is 2**-10
+        (Fraction(1, 2), 1e-12, (10, 45)),
+    ],
+)
+def test_finite_optional_stopping_cutoffs_match_count_search(p_first, alpha, looks):
+    h, k = bernoulli(p_first), bernoulli(p_first / 2)
+    theta = h.probs[1]
+    reps, seed = 400, Seed(8080)
+    scenario = Scenario(
+        name="cutoffs",
+        paradigm="optional-stopping",
+        reps=reps,
+        seed=seed,
+        h=h,
+        k=k,
+        params={"alpha": repr(alpha), "looks": " ".join(map(str, looks))},
+    )
+    report = run_scenario(scenario)
+    # regenerate each replication's draws and retest at every look
+    cutoffs = [_first_significant_count(n, theta, alpha) for n in looks]
+    hits = [0] * len(looks)
+    for i in range(reps):
+        counts = np.cumsum(_finite_indices(h, looks[-1], seed.rng(i)))
+        rejected = False
+        for j, (n, cut) in enumerate(zip(looks, cutoffs)):
+            rejected = rejected or bool(counts[n - 1] >= cut)
+            hits[j] += rejected
+    rates = [report.rates[f"cumulative_reject@{n}"].value for n in looks]
+    assert rates == [hit / reps for hit in hits]
 
 
 def test_cross_paradigm_coherence_map_lr_and_margin():
