@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 
 from . import __version__, evidential, fisher, harness, info_geometry, neyman_pearson
-from .dist import GaussianPair, Seed, parse_probability
+from .dist import GaussianPair, Seed, log_probability, parse_probability
 from .errors import TestlabError
 from .evidential import Priors
 from .files import read_distribution, read_symbols
@@ -86,6 +87,10 @@ def _cmd_fisher(args):
         f"tail outcomes     = {report.n_extreme}",
         f"significant at {_render(args.level)}? {'yes' if significant else 'no'}",
     ]
+    if report.p > 0 and float(report.p) == 0:  # exact tail below double range
+        log10_p = log_probability(report.p) / math.log(10)
+        pairs.insert(2, ("log10_p", log10_p))
+        text.insert(2, f"log10 p-value     = {log10_p:.6f}")
     _emit(args, pairs, text)
     return EXIT_OK
 

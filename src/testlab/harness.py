@@ -616,6 +616,8 @@ def run(scenario: Scenario, workers: int = 1) -> SimulationReport:
     different worker count, yields byte-identical CSV apart from the
     wall-clock row.
     """
+    if workers < 1:
+        raise InputError(f"workers must be at least 1, got {workers!r}")
     if scenario.paradigm != "fisher" and scenario.reps < 1:
         raise ScenarioError(
             f"scenario {scenario.name}: paradigm {scenario.paradigm!r} needs reps >= 1"
@@ -630,7 +632,7 @@ def run(scenario: Scenario, workers: int = 1) -> SimulationReport:
     )
     started = time.perf_counter()
     try:
-        _RUNNERS[scenario.paradigm](scenario, report, max(1, int(workers)))
+        _RUNNERS[scenario.paradigm](scenario, report, int(workers))
     except ScenarioError:
         raise
     except TestlabError as exc:

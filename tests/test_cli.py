@@ -1,7 +1,9 @@
 import csv
 import io
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from testlab.cli import main
@@ -40,6 +42,27 @@ def test_fisher_prints_exact_fraction_and_float(capsys):
     assert rc == 0
     assert "851/1208925819614629174706176" in out  # 3404/2**82 reduced
     assert "7.039307e-22" in out
+
+
+@pytest.mark.parametrize("n, k, theta", [(1100, 1100, "1/2"), (700, 0, "2/3"), (1200, 1190, "1/4")])
+def test_fisher_reports_log10_p_when_the_float_underflows(capsys, n, k, theta):
+    direction = "le" if k == 0 else "ge"
+    argv = ["fisher", "--n", str(n), "--k", str(k), "--theta", theta, "--direction", direction]
+    rc, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert rc == 0
+    row = csv_row(out)
+    assert float(row["p_float"]) == 0.0
+    p = Fraction(row["p_exact"])
+    want = mpmath.log10(mpmath.mpf(p.numerator)) - mpmath.log10(mpmath.mpf(p.denominator))
+    assert abs(float(row["log10_p"]) - float(want)) <= 1e-11 * abs(float(want))  # 12 digits
+    rc, out, _ = run_cli(capsys, *argv)
+    assert f"log10 p-value     = {float(want):.6f}" in out
+
+
+def test_fisher_omits_log10_p_in_double_range(capsys):
+    rc, out, _ = run_cli(capsys, "fisher", "--n", "82", "--k", "80", "--format", "csv")
+    assert rc == 0
+    assert "log10_p" not in csv_row(out)
 
 
 def test_fisher_accepts_decimal_theta(capsys):
@@ -231,6 +254,18 @@ def test_simulate_worker_flag_never_changes_numbers(capsys, tmp_path):
             [l for l in out_file.read_text().splitlines() if "wall_clock" not in l]
         )
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_rejects_workers_below_one(capsys, workers):
+    rc, out, err = run_cli(
+        capsys,
+        "simulate", "--scenario", str(PAPER_SUITE / "c01-exact-tail-80.scenario"),
+        "--workers", workers,
+    )
+    assert rc == 1
+    assert f"workers must be at least 1, got {workers}" in err
+    assert out == ""
 
 
 def test_simulate_reps_and_seed_overrides(capsys, tmp_path):

@@ -25,6 +25,7 @@ from testlab.errors import (
     InputError,
     UnknownSymbolError,
 )
+from testlab.dist import _finite_indices
 
 from helpers import bernoulli, random_rational_dist, total_variation
 
@@ -183,6 +184,46 @@ def test_gaussian_sampling():
 def test_sample_rejects_empty_request():
     with pytest.raises(InputError):
         sample(bernoulli(Fraction(1, 2)), 0, Seed(0))
+
+
+class _FixedUniforms:
+    """Generator stand-in whose random(n) returns chosen uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+def test_trailing_zero_mass_symbol_is_never_drawn():
+    # ten masses of 1/10 sum to the largest double below 1 in floats, so the
+    # largest uniform reaches the float CDF of the last support symbol
+    d = FiniteDistribution(tuple(range(11)), (Fraction(1, 10),) * 10 + (Fraction(0),))
+    top = np.nextafter(1.0, 0.0)
+    assert np.cumsum(d.float_probs())[9] == top
+    idx = _finite_indices(d, 3, _FixedUniforms([0.0, 0.95, top]))
+    assert idx.tolist() == [0, 9, 9]
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=8).filter(any),
+    st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), max_size=20),
+)
+@settings(max_examples=300, deadline=None)
+def test_step_count_agrees_with_binary_search_on_the_support(weights, uniforms):
+    k = len(weights)
+    d = FiniteDistribution(tuple(range(k)), tuple(Fraction(w, sum(weights)) for w in weights))
+    cdf = np.cumsum(d.float_probs())
+    u = np.concatenate([uniforms, cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    idx = _finite_indices(d, u.size, _FixedUniforms(u))
+    reference = np.minimum(np.searchsorted(cdf, u, side="right"), k - 1)
+    on_support = np.array(weights)[reference] > 0
+    assert idx.dtype == np.intp
+    assert np.array_equal(idx[on_support], reference[on_support])
+    assert all(weights[i] > 0 for i in idx)
 
 
 @pytest.mark.parametrize("k", [2, 5, 10])
