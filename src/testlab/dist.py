@@ -150,13 +150,18 @@ class FiniteDistribution:
 
     def log_prob(self, x) -> float:
         """ln P(x); -inf exactly when the symbol has zero mass."""
-        return log_probability(self.prob(x))
+        return self.log_probs[self.index(x)]
 
     def support(self) -> tuple:
         return tuple(x for x, p in zip(self.alphabet, self.probs) if p > 0)
 
     def float_probs(self) -> np.ndarray:
         return np.array([float(p) for p in self.probs], dtype=np.float64)
+
+    @cached_property
+    def log_probs(self) -> tuple:
+        """``log_probability`` of each symbol's mass, computed once."""
+        return tuple(map(log_probability, self.probs))
 
     @cached_property
     def _float_steps(self) -> np.ndarray:
@@ -335,7 +340,7 @@ def gaussian_quantile(p: float) -> float:
     """Inverse standard normal CDF, by bisection to double precision."""
     if not 0.0 < p < 1.0:
         raise InputError(f"quantile needs p in (0, 1), got {p!r}")
-    lo, hi = -13.0, 13.0
+    lo, hi = -38.5, 38.5  # Phi(-38.5) underflows to 0: any positive p fits
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

@@ -5,12 +5,14 @@ central object. It depends on the sample only through its symbol counts,
 so batch evidence (``evidence_from_sample``, ``evidence_from_counts``) is
 computed from one counting pass: r_n = prod (P_K(x)/P_H(x))**c_x over the
 at most k counted symbols. ``update`` folds in one observation at a time
-and is meant for streaming, where the counts are not known in advance.
-When both hypotheses are rational, the ratio itself is carried as an exact
-Fraction so batch order cannot perturb anything; in float mode the log
-increments are summed directly. Support violations are mapped to exact
-+/- infinity: an observation impossible under H is decisive for K, and
-vice versa.
+and is meant for streaming, where the counts are not known in advance, as
+a one-count step of the same fold, so batch and streaming evidence share
+one support rule and one arithmetic. When both hypotheses are rational,
+the ratio itself is carried as an exact Fraction so batch order cannot
+perturb anything; in float mode the log increments, read from each
+distribution's cached ``log_probs``, are summed directly. Support
+violations are mapped to exact +/- infinity: an observation impossible
+under H is decisive for K, and vice versa.
 """
 
 from __future__ import annotations
@@ -113,6 +115,9 @@ class LogEvidence:
         return _exp_or_inf(self.sum_log_lr)
 
 
+_EMPTY = LogEvidence()
+
+
 def _exp_or_inf(x: float) -> float:
     try:
         return math.exp(x)
@@ -122,6 +127,53 @@ def _exp_or_inf(x: float) -> float:
 
 def _log_fraction(r: Fraction) -> float:
     return math.log(r.numerator) - math.log(r.denominator)
+
+
+def _fold(
+    ev: LogEvidence, h: FiniteDistribution, k: FiniteDistribution, seen
+) -> LogEvidence:
+    """ev extended by a sample in which h.alphabet[i] occurred c > 0 times
+    for each (i, c) in seen: the one place the support rule and the exact and
+    float ratio arithmetic are written, at a cost set by len(seen)."""
+    h_new = k_new = False
+    n = ev.n
+    for i, c in seen:
+        n += c
+        ph, pk = h.probs[i], k.probs[i]
+        if ph == 0 or pk == 0:
+            if ph == 0 and pk == 0:
+                raise ImpossibleObservationError(
+                    f"symbol {h.alphabet[i]!r} has probability zero under both hypotheses"
+                )
+            h_new = h_new or ph == 0
+            k_new = k_new or pk == 0
+    if (h_new or ev.falsified == "H") and (k_new or ev.falsified == "K"):
+        raise ImpossibleObservationError(
+            "observations are jointly impossible under both hypotheses"
+        )
+    if h_new:
+        return LogEvidence(math.inf, n, "H", None)
+    if k_new:
+        return LogEvidence(-math.inf, n, "K", None)
+    if ev.falsified is not None:
+        # further finite factors cannot move an exact infinity
+        return LogEvidence(ev.sum_log_lr, n, ev.falsified, None)
+    if ev.exact_ratio is not None and h.is_exact and k.is_exact:
+        num = den = 1
+        for i, c in seen:
+            ph, pk = h.probs[i], k.probs[i]
+            num *= (pk.numerator * ph.denominator) ** c
+            den *= (pk.denominator * ph.numerator) ** c
+        # normalised once; a running ratio's product then needs only small gcds
+        ratio = Fraction(num, den)
+        if ev.exact_ratio != 1:
+            ratio *= ev.exact_ratio
+        return LogEvidence(_log_fraction(ratio), n, None, ratio)
+    total = ev.sum_log_lr
+    lh, lk = h.log_probs, k.log_probs
+    for i, c in seen:
+        total += c * (lk[i] - lh[i])
+    return LogEvidence(total, n, None, None)
 
 
 def update(
@@ -134,33 +186,7 @@ def update(
     under both (one observation excluded H, another excluded K).
     """
     require_same_alphabet(h, k)
-    ph = h.prob(x)
-    pk = k.prob(x)
-    if ph == 0 and pk == 0:
-        raise ImpossibleObservationError(
-            f"symbol {x!r} has probability zero under both hypotheses"
-        )
-    if ph == 0:
-        if ev.falsified == "K":
-            raise ImpossibleObservationError(
-                "observations are jointly impossible under both hypotheses"
-            )
-        return LogEvidence(math.inf, ev.n + 1, "H", None)
-    if pk == 0:
-        if ev.falsified == "H":
-            raise ImpossibleObservationError(
-                "observations are jointly impossible under both hypotheses"
-            )
-        return LogEvidence(-math.inf, ev.n + 1, "K", None)
-    if ev.falsified is not None:
-        # the ratio is pinned at an exact infinity; further finite factors
-        # cannot move it
-        return LogEvidence(ev.sum_log_lr, ev.n + 1, ev.falsified, None)
-    if ev.exact_ratio is not None and h.is_exact and k.is_exact:
-        ratio = ev.exact_ratio * pk / ph
-        return LogEvidence(_log_fraction(ratio), ev.n + 1, None, ratio)
-    increment = log_probability(pk) - log_probability(ph)
-    return LogEvidence(ev.sum_log_lr + increment, ev.n + 1, None, None)
+    return _fold(ev, h, k, ((h.index(x), 1),))
 
 
 def update_gaussian(ev: LogEvidence, pair: GaussianPair, x: float) -> LogEvidence:
@@ -187,42 +213,9 @@ def evidence_from_counts(
             f"need {h.size} nonnegative counts summing to n={n}, got {counts!r}"
         )
     if n == 0:
-        return LogEvidence()
+        return _EMPTY
     require_same_alphabet(h, k)
-    seen = [
-        (x, c, ph, pk)
-        for x, c, ph, pk in zip(h.alphabet, counts, h.probs, k.probs)
-        if c
-    ]
-    h_excluded = k_excluded = False
-    for x, _, ph, pk in seen:
-        # such a symbol also excludes both below; raising here names it
-        if ph == 0 and pk == 0:
-            raise ImpossibleObservationError(
-                f"symbol {x!r} has probability zero under both hypotheses"
-            )
-        h_excluded = h_excluded or ph == 0
-        k_excluded = k_excluded or pk == 0
-    if h_excluded and k_excluded:
-        raise ImpossibleObservationError(
-            "observations are jointly impossible under both hypotheses"
-        )
-    if h_excluded:
-        return LogEvidence(math.inf, n, "H", None)
-    if k_excluded:
-        return LogEvidence(-math.inf, n, "K", None)
-    if h.is_exact and k.is_exact:
-        # one normalisation at the end instead of one per factor
-        num = den = 1
-        for _, c, ph, pk in seen:
-            num *= (pk.numerator * ph.denominator) ** c
-            den *= (pk.denominator * ph.numerator) ** c
-        ratio = Fraction(num, den)
-        return LogEvidence(_log_fraction(ratio), n, None, ratio)
-    total = 0.0
-    for _, c, ph, pk in seen:
-        total += c * (log_probability(pk) - log_probability(ph))
-    return LogEvidence(total, n, None, None)
+    return _fold(_EMPTY, h, k, [(i, c) for i, c in enumerate(counts) if c])
 
 
 def evidence_from_sample(
@@ -313,14 +306,5 @@ def log_ratio_table(h: FiniteDistribution, k: FiniteDistribution) -> np.ndarray:
     NaN surfacing downstream marks a logic error rather than data.
     """
     require_same_alphabet(h, k)
-    out = np.empty(h.size, dtype=np.float64)
-    for i, (ph, pk) in enumerate(zip(h.probs, k.probs)):
-        if ph == 0 and pk == 0:
-            out[i] = math.nan
-        elif ph == 0:
-            out[i] = math.inf
-        elif pk == 0:
-            out[i] = -math.inf
-        else:
-            out[i] = log_probability(pk) - log_probability(ph)
-    return out
+    with np.errstate(invalid="ignore"):
+        return np.subtract(k.log_probs, h.log_probs)

@@ -106,7 +106,7 @@ def np_test(pair: GaussianPair, n: int, alpha: float) -> tuple[DecisionRule, Err
         raise InputError(f"n must be at least 1, got {n}")
     if not 0 < alpha < 1:
         raise InputError(f"alpha must be in (0, 1), got {alpha!r}")
-    z = gaussian_quantile(1.0 - alpha)
+    z = -gaussian_quantile(alpha)  # z_{1-alpha}; 1 - alpha is 1.0 for alpha < 5.5e-17
     scale = pair.sigma / math.sqrt(n)
     cutoff = pair.mu_h + z * scale
     beta = gaussian_cdf(z - pair.effect * math.sqrt(n) / pair.sigma)
@@ -123,30 +123,23 @@ def solve_power(spec: PowerSpec) -> PowerSpec:
     """
     unknown = spec.unknown
     sigma = spec.sigma
-    if unknown == "n":
+    # z_{1-p} is taken as -z_p and an upper tail as Phi(-z): 1 - p is 1.0
+    # for p < 5.5e-17, and 1 - Phi(z) cancels to 0 above z = 8.3
+    if unknown in ("n", "eta"):
+        z_sum = -gaussian_quantile(spec.alpha) - gaussian_quantile(spec.beta)
+        if unknown == "eta":
+            return replace(spec, eta=z_sum * sigma / math.sqrt(spec.n))
         if spec.eta == 0:
             raise NoSolutionError("cannot size a study for a zero effect")
-        z_sum = gaussian_quantile(1.0 - spec.alpha) + gaussian_quantile(1.0 - spec.beta)
         exact = (z_sum * sigma / spec.eta) ** 2
-        n = max(1, math.ceil(exact - 1e-9))
-        return replace(spec, n=n)
-    if unknown == "eta":
-        z_sum = gaussian_quantile(1.0 - spec.alpha) + gaussian_quantile(1.0 - spec.beta)
-        return replace(spec, eta=z_sum * sigma / math.sqrt(spec.n))
-    if unknown == "alpha":
-        z = spec.eta * math.sqrt(spec.n) / sigma - gaussian_quantile(1.0 - spec.beta)
-        alpha = 1.0 - gaussian_cdf(z)
-        if not 0 < alpha <= 0.5:
-            raise NoSolutionError(
-                f"required alpha {alpha:.6g} falls outside (0, 0.5]"
-            )
-        return replace(spec, alpha=alpha)
-    # unknown == "beta"
-    z = spec.eta * math.sqrt(spec.n) / sigma - gaussian_quantile(1.0 - spec.alpha)
-    beta = 1.0 - gaussian_cdf(z)
-    if not 0 < beta <= 0.5:
-        raise NoSolutionError(f"required beta {beta:.6g} falls outside (0, 0.5]")
-    return replace(spec, beta=beta)
+        return replace(spec, n=max(1, math.ceil(exact - 1e-9)))
+    known = spec.beta if unknown == "alpha" else spec.alpha
+    # z = eta sqrt(n) / sigma - z_{1-known}
+    z = spec.eta * math.sqrt(spec.n) / sigma + gaussian_quantile(known)
+    rate = gaussian_cdf(-z)
+    if not 0 < rate <= 0.5:
+        raise NoSolutionError(f"required {unknown} {rate:.6g} falls outside (0, 0.5]")
+    return replace(spec, **{unknown: rate})
 
 
 def adjust_alpha(family_alpha: float, tests: int, scheme: str = "bonferroni") -> float:

@@ -13,16 +13,22 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
+
 from testlab import (
     FiniteDistribution,
     GaussianPair,
     PowerSpec,
     Priors,
+    Seed,
     TailDirection,
+    UniversalDecision,
+    UniversalTestConfig,
     Verdict,
     binomial_tail,
     evidence_from_sample,
     gaussian_cdf,
+    hoeffding_test,
     identical_point_prob_pair,
     kl,
     load_scenario,
@@ -32,6 +38,7 @@ from testlab import (
     midpoint_rule,
     p_value,
     run_scenario,
+    sample,
     solve_power,
     threshold_verdict,
 )
@@ -323,6 +330,44 @@ def test_c11_universal_test_level_and_power():
         ok,
         f"type-I rates [{', '.join(details)}] all <= 0.05+3SE; power {power:.4f} "
         f"against divergence {divergence:.3f}, {elapsed:.1f}s",
+    )
+
+
+def chi2_upper_quantile(df: int, p: float) -> float:
+    """x with P(chi2_df > x) = p, by mpmath."""
+    with mpmath.workdps(30):
+        return float(mpmath.findroot(
+            lambda x: mpmath.gammainc(df / 2, x / 2, mpmath.inf, regularized=True) - p,
+            df + 3,
+        ))
+
+
+def test_c11_universal_test_level_is_tight_under_the_wilks_radius():
+    # Wilks: 2n D(emp || h) -> chi2_{k-1} under H (Hoeffding 1965), so the
+    # radius chi2_{k-1,1-delta} / (2n) rejects at rate ~delta, not ~0 as
+    # the types bound does; a radius 10x too large then visibly fails
+    delta, n, reps = 0.05, 1000, 2000
+    se = math.sqrt(delta * (1 - delta) / reps)
+    ok = True
+    details = []
+    for k in (2, 4):
+        h = FiniteDistribution.uniform("abcd"[:k])
+        chi2 = chi2_upper_quantile(k - 1, delta)
+        samples = [sample(h, n, Seed(1111 + k, i)) for i in range(reps)]
+
+        def rate(scale):
+            cfg = UniversalTestConfig(delta, radius_rule=lambda m: scale * chi2 / (2 * m))
+            decisions = [hoeffding_test(h, xs, cfg).decision for xs in samples]
+            return decisions.count(UniversalDecision.REJECT_H) / reps
+
+        level, wide_level = rate(1), rate(10)
+        ok = ok and abs(level - delta) <= 4 * se and wide_level < delta - 4 * se
+        details.append(f"k={k}: {level:.4f} (radius x10: {wide_level:.4f})")
+    report(
+        "criterion-11",
+        ok,
+        f"Wilks-radius type-I rates [{', '.join(details)}] within 4SE "
+        f"= {4 * se:.4f} of {delta}, x10 radius below it",
     )
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import string
+import warnings
 from fractions import Fraction
 from functools import reduce
 
@@ -29,7 +30,9 @@ from testlab import (
     update,
     update_gaussian,
 )
+from testlab.dist import log_probability
 from testlab.errors import ImpossibleObservationError, InputError
+from testlab.evidential import log_ratio_table
 
 from helpers import bernoulli, random_float_dist, random_rational_dist
 
@@ -69,7 +72,7 @@ def test_support_exclusion_falsifies_h():
 def test_both_zero_probability_observation_rejected():
     h = FiniteDistribution(("a", "b", "c"), (Fraction(1, 2), Fraction(1, 2), 0))
     k = FiniteDistribution(("a", "b", "c"), (Fraction(1, 4), Fraction(3, 4), 0))
-    with pytest.raises(ImpossibleObservationError):
+    with pytest.raises(ImpossibleObservationError, match="symbol 'c'"):
         update(LogEvidence(), h, k, "c")
 
 
@@ -79,6 +82,24 @@ def test_jointly_impossible_sequence_rejected():
     ev = update(LogEvidence(), h, k, "b")  # falsifies H
     with pytest.raises(ImpossibleObservationError):
         update(ev, h, k, "a")  # would falsify K as well
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_log_ratio_table_cells(exact):
+    # a: zero mass under both, b: under H only, c: under K only, d: shared
+    h = FiniteDistribution(tuple("abcd"), (0, 0, Fraction(1, 3), Fraction(2, 3)))
+    k = FiniteDistribution(tuple("abcd"), (0, Fraction(1, 4), 0, Fraction(3, 4)))
+    if not exact:
+        h, k = _as_float(h), _as_float(k)
+    for d in (h, k):
+        assert d.log_probs == tuple(log_probability(p) for p in d.probs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = log_ratio_table(h, k)
+    assert table.dtype == np.float64
+    assert math.isnan(table[0])
+    shared = log_probability(k.probs[3]) - log_probability(h.probs[3])
+    assert table[1:].tolist() == [math.inf, -math.inf, shared]
 
 
 def test_batch_permutation_invariance_exact():
@@ -368,7 +389,6 @@ def test_likelihood_convergence_both_ways():
     h, k = H_FAIR, K_QUARTER
     assert float(kl(k, h)) >= 0.1
     n, paths = 2000, 1000
-    from testlab.evidential import log_ratio_table
     from testlab.dist import _finite_indices
 
     table = log_ratio_table(h, k)

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from testlab import (
@@ -25,6 +26,17 @@ from testlab.errors import (
 from helpers import random_rational_dist
 
 UNIT_PAIR = GaussianPair(0.0, 1.0, 1.0)
+
+
+def upper_z(p) -> mpmath.mpf:
+    """z_{1-p} of the standard normal for the double p, by mpmath."""
+    # 2p - 1 must keep p's digits next to -1
+    with mpmath.workdps(40 - min(0, math.floor(math.log10(p)))):
+        return -mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1)
+
+
+def close(x, want, rel=1e-12) -> bool:
+    return abs(x - float(want)) <= rel * abs(float(want))
 
 
 # --- midpoint rule ------------------------------------------------------------
@@ -103,6 +115,24 @@ def test_np_test_beta_monotone_in_n_eta_alpha():
     assert all(a >= b for a, b in zip(betas_alpha, betas_alpha[1:]))
 
 
+def test_np_test_cutoff_for_alpha_where_one_minus_alpha_rounds_to_one():
+    # 1 - 1e-17 == 1.0, so the cutoff must come from the lower quantile
+    rule, rates = np_test(GaussianPair(0.0, 1.0, 1.0), 4, 1e-17)
+    z = upper_z(1e-17)
+    assert close(2.0 * rule.cutoff, z)
+    assert close(rates.beta, mpmath.ncdf(z - 2))
+
+
+@pytest.mark.parametrize("alpha", [1e-50, 1e-300])
+def test_np_test_cutoff_for_alpha_below_phi_of_minus_13(alpha):
+    # z_{1-alpha} lies beyond 13; n puts beta at a moderate rate
+    z = upper_z(alpha)
+    n = math.ceil(z + 3) ** 2
+    rule, rates = np_test(UNIT_PAIR, n, alpha)
+    assert close(rule.cutoff * math.sqrt(n), z)
+    assert close(rates.beta, mpmath.ncdf(z - math.sqrt(n)))
+
+
 def test_np_test_validates_alpha():
     with pytest.raises(InputError):
         np_test(UNIT_PAIR, 4, 0.0)
@@ -124,6 +154,30 @@ def test_solve_eta_at_n100():
 def test_solve_rejects_zero_effect_for_n():
     with pytest.raises(NoSolutionError):
         solve_power(PowerSpec(alpha=0.05, beta=0.2, eta=0.0))
+
+
+def test_solve_error_rate_far_in_the_tail():
+    # beta = Phi(-(10 - z_0.95)) ~ 3.3e-17, where 1 - Phi(z) cancels to 0;
+    # the alpha branch is its mirror image
+    want = mpmath.ncdf(upper_z(0.05) - 10)
+    assert close(solve_power(PowerSpec(alpha=0.05, eta=1.0, n=100)).beta, want)
+    assert close(solve_power(PowerSpec(beta=0.05, eta=1.0, n=100)).alpha, want)
+
+
+def test_solve_n_for_alpha_where_one_minus_alpha_rounds_to_one():
+    solved = solve_power(PowerSpec(alpha=1e-17, beta=0.2, eta=1.0))
+    assert solved.n == math.ceil((upper_z(1e-17) + upper_z(0.2)) ** 2) == 88
+
+
+@pytest.mark.parametrize("alpha", [1e-50, 1e-300])
+def test_solve_power_for_alpha_below_phi_of_minus_13(alpha):
+    z, z_beta = upper_z(alpha), upper_z(0.2)
+    n = solve_power(PowerSpec(alpha=alpha, beta=0.2, eta=1.0)).n
+    assert n == math.ceil((z + z_beta) ** 2)
+    eta = solve_power(PowerSpec(alpha=alpha, beta=0.2, n=n)).eta
+    assert close(eta, (z + z_beta) / math.sqrt(n))
+    beta = solve_power(PowerSpec(alpha=alpha, eta=1.0, n=n)).beta
+    assert close(beta, mpmath.ncdf(z - math.sqrt(n)))
 
 
 def test_solve_requires_exactly_one_unknown():
