@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -31,6 +32,18 @@ from .errors import (
 Probability = Union[Fraction, float]
 
 _SQRT2 = math.sqrt(2.0)
+
+# numpy's SeedSequence hash and PCG64 seeding step, redone so that a
+# replication reseeds one generator in place (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = 2**32 - 1, 2**128 - 1
+_BLOCK = 1024  # replication indices hashed per numpy pass
+# per thread: ((root, stream, block), that block's words, the generator); a
+# cache only, since the key names everything the words depend on
+_REP = threading.local()
 
 
 def parse_probability(text: str) -> Fraction:
@@ -285,6 +298,8 @@ class Seed:
     the surrounding work is ordered or parallelised. Derived streams
     (``rng(i)`` for replication i) depend only on the values, never on
     call order, which is what makes chunked Monte Carlo runs merge-safe.
+    Monte Carlo replications draw what ``rng(i)`` would from one generator
+    per thread, reseeded by ``_rep_rng(i)`` instead of built anew.
     """
 
     root: int
@@ -302,6 +317,69 @@ class Seed:
         """Generator for this stream, optionally extended by sub-counters."""
         ss = np.random.SeedSequence(entropy=self.root, spawn_key=(self.stream, *path))
         return np.random.default_rng(ss)
+
+    @cached_property
+    def _stream_pool(self) -> tuple:
+        """The pool of SeedSequence(root, (stream,)) and the hash constant it
+        mixes a further spawn-key word with: the root pads to 4 words, so
+        16 + 4 per stream word hash calls come before it."""
+        pool = np.random.SeedSequence(self.root, spawn_key=(self.stream,)).pool
+        words = max(1, -(-self.stream.bit_length() // 32))
+        return tuple(map(int, pool)), _INIT_A * pow(_MULT_A, 16 + 4 * words, 2**32) & _M32
+
+    def _block_words(self, block: int) -> np.ndarray:
+        """(a, b, c, e): the uint64 words SeedSequence(root, (stream, i))
+        generates for PCG64, one row per i of the block: the word i is mixed
+        into each pool slot, then 8 words are hashed from the pool and paired
+        little-endian. Updates run in place, so a block allocates little."""
+        pool, hc = self._stream_pool
+        u32 = np.uint32
+        i = np.arange(_BLOCK, dtype=u32) + block * _BLOCK
+        mixed = []
+        for p in pool:
+            v = i ^ u32(hc)
+            hc = hc * _MULT_A & _M32
+            v *= u32(hc)
+            v ^= v >> 16
+            v *= u32(_MIX_R)
+            np.subtract(u32(_MIX_L * p & _M32), v, out=v)
+            v ^= v >> 16
+            mixed.append(v)
+        out = np.empty((_BLOCK, 8), "<u4")
+        hc = _INIT_B
+        for d in range(8):
+            v = out[:, d]
+            np.bitwise_xor(mixed[d % 4], u32(hc), out=v)
+            hc = hc * _MULT_B & _M32
+            v *= u32(hc)
+            v ^= v >> 16
+        return out.view("<u8")
+
+    def _rep_rng(self, i: int) -> np.random.Generator:
+        """This thread's one reused generator, set to the state ``rng(i)``
+        starts in; it stays valid until the thread's next ``_rep_rng``."""
+        if not 0 <= i < 2**32:  # a two-word spawn key: not what blocks hash
+            return self.rng(i)
+        key = (self.root, self.stream, i // _BLOCK)
+        try:
+            cached, words, gen = _REP.slot
+        except AttributeError:
+            cached, words, gen = None, None, np.random.Generator(np.random.PCG64(0))
+        if cached != key:
+            words = self._block_words(key[2])
+            _REP.slot = key, words, gen
+        a, b, c, e = words[i % _BLOCK].tolist()
+        # PCG64's seeding: inc from (c, e), then two steps from state 0 with
+        # the seed (a, b) added between them
+        inc = ((c << 64 | e) << 1 | 1) & _M128
+        state = (((a << 64 | b) + inc) * _PCG_MULT + inc) & _M128
+        gen.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen
 
 
 def _finite_indices(d: FiniteDistribution, n: int, rng: np.random.Generator) -> np.ndarray:

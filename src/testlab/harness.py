@@ -2,7 +2,8 @@
 
 A scenario is one INI-style file describing a data-generating truth, a
 testing paradigm and its parameters, a replication count and a seed. Runs
-are bit-reproducible: replication i draws from seed.rng(i) regardless of
+are bit-reproducible: replication i draws what seed.rng(i) would, from the
+one generator per thread that seed._rep_rng(i) reseeds, regardless of
 worker count, and reducers only ever merge order-independent per-rep
 results. The single machine-readable output is CSV with floats at 12
 significant digits; wall-clock time is the one field excluded from
@@ -351,7 +352,7 @@ def _run_lr(scenario, report, workers):
         crossed = np.zeros(reps, dtype=bool)
 
         def body(i):
-            rng = seed.rng(i)
+            rng = seed._rep_rng(i)
             idx = _finite_indices(truth, horizon, rng)
             path = np.cumsum(table[idx])
             crossed[i] = bool(path.max() >= log_s)
@@ -368,7 +369,7 @@ def _run_lr(scenario, report, workers):
     marks = np.array(checkpoints) - 1
 
     def body(i):
-        rng = seed.rng(i)
+        rng = seed._rep_rng(i)
         idx = _finite_indices(truth, n, rng)
         path = np.cumsum(table[idx])
         sums[i] = path[-1]
@@ -397,7 +398,7 @@ def _sum_log_lr(truth, table, n, reps, seed, workers):
     sums = np.empty(reps, dtype=np.float64)
 
     def body(i):
-        idx = _finite_indices(truth, n, seed.rng(i))
+        idx = _finite_indices(truth, n, seed._rep_rng(i))
         sums[i] = table[idx].sum()
 
     _for_each_rep(reps, workers, body)
@@ -459,7 +460,7 @@ def _run_np(scenario, report, workers):
     decide_k = np.zeros(reps, dtype=bool)
 
     def body(i):
-        rng = seed.rng(i)
+        rng = seed._rep_rng(i)
         xbar = rng.normal(mu, pair.sigma, size=n).mean()
         decide_k[i] = bool(xbar >= rule.cutoff)
 
@@ -497,7 +498,7 @@ def _run_hoeffding(scenario, report, workers):
     rejected = np.zeros(reps, dtype=bool)
 
     def body(i):
-        rng = seed.rng(i)
+        rng = seed._rep_rng(i)
         idx = _finite_indices(truth, n, rng)
         counts = np.bincount(idx, minlength=h.size)
         mask = counts > 0
@@ -545,11 +546,11 @@ def _run_optional_stopping(scenario, report, workers):
         positive = (lambda v: 0 < v < math.inf, "positive and finite")
         eta = _float_param(scenario, "lr-eta", default=0.5 * sigma, check=positive)
         report.values["lr_eta"] = eta
-        z_crit = gaussian_quantile(1.0 - alpha)
+        z_crit = -gaussian_quantile(alpha)
         sqrt_looks = np.sqrt(np.array(looks, dtype=np.float64))
 
         def body(i):
-            rng = seed.rng(i)
+            rng = seed._rep_rng(i)
             xs = rng.normal(mu, sigma, size=horizon)
             cum = np.cumsum(xs)
             z = (cum[marks] - np.array(looks) * mu) / (sigma * sqrt_looks)
@@ -584,7 +585,7 @@ def _run_optional_stopping(scenario, report, workers):
         table = log_ratio_table(h, k)
 
         def body(i):
-            rng = seed.rng(i)
+            rng = seed._rep_rng(i)
             idx = _finite_indices(h, horizon, rng)
             counts = np.cumsum(idx)  # idx is 1 exactly for the second symbol
             rejected[i] = np.maximum.accumulate(counts[marks] >= cutoffs)
@@ -782,15 +783,15 @@ def family_wise_error(
     if m < 1 or reps < 1:
         raise ScenarioError("m and reps must be at least 1")
     per_test = neyman_pearson.adjust_alpha(family_alpha, m, scheme)
-    z_crit = gaussian_quantile(1.0 - per_test)
+    z_crit = -gaussian_quantile(per_test)
     shift = eta * math.sqrt(n) / sigma
-    analytic_power = 1.0 - gaussian_cdf(z_crit - shift)
+    analytic_power = gaussian_cdf(shift - z_crit)
 
     any_reject = np.zeros(reps, dtype=bool)
     power_hit = np.zeros(reps, dtype=bool)
 
     def body(i):
-        rng = seed.rng(i)  # m null statistics, then one alternative
+        rng = seed._rep_rng(i)  # m null statistics, then one alternative
         any_reject[i] = np.any(rng.standard_normal(m) >= z_crit)
         power_hit[i] = rng.standard_normal() + shift >= z_crit
 

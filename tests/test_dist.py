@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -161,6 +163,86 @@ def test_sampling_independent_of_derivation_order():
     first_then_second = [seed.rng(0).random(3).tolist(), seed.rng(1).random(3).tolist()]
     second_then_first = [seed.rng(1).random(3).tolist(), seed.rng(0).random(3).tolist()]
     assert first_then_second == second_then_first[::-1]
+
+
+_REP_ROOTS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [
+    *map(random.Random(2024).getrandbits, [64] * 3)
+]
+
+
+def same_start(gen, seed, i):
+    """gen holds the state seed.rng(i) starts in, and draws what it draws."""
+    want = seed.rng(i)
+    if gen.bit_generator.state != want.bit_generator.state:
+        return False
+    return (gen.random(3).tolist() + gen.normal(size=2).tolist()
+            == want.random(3).tolist() + want.normal(size=2).tolist())
+
+
+@pytest.mark.parametrize("stream", [0, 1, 2**32 - 1, 2**32 + 5])
+def test_replication_reseed_matches_rng(stream):
+    for root in _REP_ROOTS:
+        seed = Seed(root, stream)
+        for i in (0, 1, 1023, 1024, 2**32 - 1, 2**32, 2**40):
+            assert same_start(seed._rep_rng(i), seed, i), (root, i)
+
+
+def test_replication_reseed_with_seeds_and_blocks_alternating():
+    seeds = [Seed(5, 0), Seed(5, 1), Seed(6, 0), Seed(6, 1)]
+    for i in (3, 1027, 3, 2**20 + 3):
+        for seed in seeds + seeds[::-1]:
+            assert same_start(seed._rep_rng(i), seed, i), (seed, i)
+
+
+def test_replication_reseed_per_thread():
+    # each thread reseeds, in a block of its own, between the other's
+    # reseed and draw
+    barrier = threading.Barrier(2, timeout=10)
+    seed = Seed(77, 2)
+    results = {}
+
+    def worker(name, indices):
+        ok = []
+        for i in indices:
+            gen = seed._rep_rng(i)
+            barrier.wait()
+            ok.append(same_start(gen, seed, i))
+            barrier.wait()
+        results[name] = ok
+
+    threads = [
+        threading.Thread(target=worker, args=("a", range(0, 5 * 1024, 1024))),
+        threading.Thread(target=worker, args=("b", range(5 * 1024 + 1, 10 * 1024, 1024))),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {"a": [True] * 5, "b": [True] * 5}
+
+
+def test_replication_reseed_under_thread_switching():
+    seed = Seed(31337)
+    failures = []
+
+    def worker(lo):
+        for i in range(lo, 4096, 4):
+            if not same_start(seed._rep_rng(i), seed, i):
+                failures.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(lo,)) for lo in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
 
 
 def test_point_mass_sampling():

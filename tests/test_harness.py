@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -208,6 +209,13 @@ def test_optional_stopping_alpha_function_inflates_from_second_look():
         assert est.value <= 1 / result.s + 3 * est.se
 
 
+def test_optional_stopping_at_alpha_where_one_minus_alpha_rounds_to_one():
+    result = optional_stopping_alpha(
+        GaussianPair(0.0, 0.0, 1.0), alpha=1e-17, looks=(20, 40), reps=50, seed=Seed(1)
+    )
+    assert [r.value for r in result.cumulative_reject] == [0.0, 0.0]
+
+
 def test_optional_stopping_alpha_function_finite_null():
     result = optional_stopping_alpha(
         H_FAIR,
@@ -357,6 +365,18 @@ def test_family_wise_error_controlled_and_power_decays():
         assert fwer.value <= 0.05 + 3 * fwer.se
         powers.append(analytic_power)
     assert powers[0] > powers[1] > powers[2]
+
+
+def test_family_wise_error_where_one_minus_alpha_rounds_to_one():
+    per_test, fwer, analytic_power, _ = family_wise_error(
+        100, 1e-15, "bonferroni", 10, Seed(1)
+    )
+    assert per_test == 1e-15 / 100
+    with mpmath.workdps(60):
+        z = -mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(per_test) - 1)
+        want = float(mpmath.ncdf(0.5 * 5 - z))  # shift eta * sqrt(n) / sigma
+    assert abs(analytic_power - want) <= 1e-12 * want
+    assert fwer.value == 0.0
 
 
 def test_family_wise_error_sidak_close_to_bonferroni():
