@@ -32,6 +32,7 @@ from .errors import (
 Probability = Union[Fraction, float]
 
 _SQRT2 = math.sqrt(2.0)
+_MAX_EXPONENT = 4300  # parse_probability's digits stay within 10**+-this
 
 # numpy's SeedSequence hash and PCG64 seeding step, redone so that a
 # replication reseeds one generator in place (numpy/random/bit_generator.pyx)
@@ -47,16 +48,36 @@ _REP = threading.local()
 
 
 def parse_probability(text: str) -> Fraction:
-    """Parse a decimal or fraction string ("0.25", "1/4", "2.5e-3") exactly."""
+    """Parse a decimal or fraction string ("0.25", "1/4", "2.5e-3") exactly.
+
+    Non-finite decimals are input errors, and so are decimals with a digit
+    beyond 10**+-4 300, whose powers of ten take seconds to build; the exact
+    decimal of any double has at most 1 074 fractional digits.
+    """
     text = text.strip()
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return Fraction(decimal.Decimal(text))
-    except (decimal.InvalidOperation, ValueError) as exc:
+        if "/" in text:
+            return Fraction(text)
+        value = decimal.Decimal(text)
+    except (ValueError, ZeroDivisionError, decimal.InvalidOperation) as exc:
         raise InputError(f"cannot parse probability {text!r}") from exc
+    # as_tuple().exponent places the last digit, adjusted() the first
+    if not (value.is_finite() and -_MAX_EXPONENT <= value.as_tuple().exponent
+            and value.adjusted() <= _MAX_EXPONENT):
+        raise InputError(
+            f"cannot parse probability {text!r}: not finite, or a digit beyond "
+            f"10**+-{_MAX_EXPONENT}"
+        )
+    return Fraction(value)
+
+
+def _show(p) -> str:
+    """p for a message: exact sums of parsed probabilities can pass the
+    4 300-digit limit on str(int), which Decimal does not have."""
+    if isinstance(p, Fraction):
+        num, den = decimal.Decimal(p.numerator), decimal.Decimal(p.denominator)
+        return f"{num}" if den == 1 else f"{num}/{den}"
+    return repr(p)
 
 
 def as_probability(value) -> Probability:
@@ -125,13 +146,13 @@ class FiniteDistribution:
             exact = True
         for p in probs:
             if p < 0:
-                raise DistributionError(f"negative probability {p!r}")
+                raise DistributionError(f"negative probability {_show(p)}")
             if isinstance(p, float) and not math.isfinite(p):
                 raise DistributionError(f"non-finite probability {p!r}")
         total = sum(probs)
         if exact:
             if total != 1:
-                raise DistributionError(f"probabilities sum to {total}, not 1")
+                raise DistributionError(f"probabilities sum to {_show(total)}, not 1")
         elif abs(total - 1.0) > 1e-12:
             raise DistributionError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "alphabet", alphabet)

@@ -29,6 +29,7 @@ from .dist import (
     FiniteDistribution,
     GaussianPair,
     Probability,
+    _show,
     as_probability,
     empirical,
     log_probability,
@@ -78,7 +79,9 @@ class Priors:
         else:
             pi_k = as_probability(pi_k)
         if not (0 < pi_h < 1 and 0 < pi_k < 1):
-            raise InputError(f"priors must lie strictly inside (0, 1): {pi_h!r}, {pi_k!r}")
+            raise InputError(
+                f"priors must lie strictly inside (0, 1): {_show(pi_h)}, {_show(pi_k)}"
+            )
         total = pi_h + pi_k
         if isinstance(pi_h, Fraction) and isinstance(pi_k, Fraction):
             if total != 1:

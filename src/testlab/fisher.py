@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .dist import FiniteDistribution, Probability, as_probability
+from .dist import FiniteDistribution, Probability, _show, as_probability
 from .errors import InputError, UnorderedAlphabetError
 
 
@@ -111,7 +111,7 @@ def binomial_tail(
     if isinstance(theta, float):
         theta = Fraction(theta)
     if not 0 <= theta <= 1:
-        raise InputError(f"theta must be in [0, 1], got {theta}")
+        raise InputError(f"theta must be in [0, 1], got {_show(theta)}")
     one = Fraction(1)
     probs = tuple(
         math.comb(n, j) * theta**j * (one - theta) ** (n - j) for j in range(n + 1)

@@ -2,12 +2,12 @@
 
 A scenario is one INI-style file describing a data-generating truth, a
 testing paradigm and its parameters, a replication count and a seed. Runs
-are bit-reproducible: replication i draws what seed.rng(i) would, from the
-one generator per thread that seed._rep_rng(i) reseeds, regardless of
-worker count, and reducers only ever merge order-independent per-rep
-results. The single machine-readable output is CSV with floats at 12
-significant digits; wall-clock time is the one field excluded from
-reproducibility comparisons.
+are bit-reproducible: ``_replicate`` alone seeds replication i, with what
+seed.rng(i) would draw from one reseeded generator per thread, and alone
+stores its result, in slot i; so the worker count never changes a result,
+and reducers only ever merge order-independent per-rep results. The single
+machine-readable output is CSV with floats at 12 significant digits;
+wall-clock time is the one field excluded from reproducibility comparisons.
 
 Scenario keys
 -------------
@@ -33,7 +33,8 @@ positive and finite; any other value is a ScenarioError naming its key.
 The library's Monte Carlo estimators replicate here too, so this module
 owns every replication loop and seed stream: optional_stopping_alpha and
 robbins_violation_probability wrap ``run``, evidence_rate shares the
-bayes/map ln r_n sampler, and family_wise_error uses ``_for_each_rep``.
+bayes/map ln r_n sampler, and family_wise_error uses ``_replicate``; each
+runner only describes one replication's draw.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -147,8 +149,8 @@ def _render(value) -> str:
         return "yes" if value else "no"
     if isinstance(value, float):
         return f"{value:.12g}"
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, Fraction):  # Decimal prints past str()'s 4 300-digit limit
+        return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
     return str(value)
 
 
@@ -278,19 +280,28 @@ def _for_each_rep(reps: int, workers: int, body) -> None:
     and merging is plain indexing, so the worker count can change timing
     but never results.
     """
-    spans = [(lo, min(lo + _CHUNK, reps)) for lo in range(0, reps, _CHUNK)]
+    spans = [range(lo, min(lo + _CHUNK, reps)) for lo in range(0, reps, _CHUNK)]
 
     def run_span(span):
-        lo, hi = span
-        for i in range(lo, hi):
+        for i in span:
             body(i)
 
     if workers <= 1 or len(spans) <= 1:
-        for span in spans:
-            run_span(span)
+        list(map(run_span, spans))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_span, spans))
+
+
+def _replicate(seed, workers, out, draw):
+    """out[i] = draw(replication i's generator) for every slot of out, through
+    the module global ``_for_each_rep``, so rebinding it sees each replication."""
+
+    def body(i):
+        out[i] = draw(seed._rep_rng(i))
+
+    _for_each_rep(len(out), workers, body)
+    return out
 
 
 # --- paradigm runners ------------------------------------------------------
@@ -349,33 +360,24 @@ def _run_lr(scenario, report, workers):
     if horizon is not None:
         report.values["horizon"] = horizon
         report.values["crossing_bound"] = 1.0 / s
-        crossed = np.zeros(reps, dtype=bool)
 
-        def body(i):
-            rng = seed._rep_rng(i)
-            idx = _finite_indices(truth, horizon, rng)
-            path = np.cumsum(table[idx])
-            crossed[i] = bool(path.max() >= log_s)
+        def crosses(rng):
+            return np.cumsum(table[_finite_indices(truth, horizon, rng)]).max() >= log_s
 
-        _for_each_rep(reps, workers, body)
+        crossed = _replicate(seed, workers, np.zeros(reps, dtype=bool), crosses)
         report.rates["crossing_rate"] = rate_estimate(int(crossed.sum()), reps)
         return
 
     n = _int_param(scenario, "n", required=True)
     checkpoints = _lr_checkpoints(scenario, n)
     report.values["n"] = n
-    sums = np.empty(reps, dtype=np.float64)
-    traj = np.empty((reps, len(checkpoints)), dtype=np.float64)
-    marks = np.array(checkpoints) - 1
+    marks = np.array(checkpoints + (n,)) - 1  # ln r at each checkpoint, then ln r_n
 
-    def body(i):
-        rng = seed._rep_rng(i)
-        idx = _finite_indices(truth, n, rng)
-        path = np.cumsum(table[idx])
-        sums[i] = path[-1]
-        traj[i] = path[marks]
+    def path(rng):
+        return np.cumsum(table[_finite_indices(truth, n, rng)])[marks]
 
-    _for_each_rep(reps, workers, body)
+    rows = _replicate(seed, workers, np.empty((reps, len(marks))), path)
+    sums, traj = rows[:, -1], rows[:, :-1]
 
     verdicts = np.where(
         sums >= log_s, "accept_k", np.where(sums <= -log_s, "accept_h", "continue")
@@ -395,24 +397,23 @@ def _run_lr(scenario, report, workers):
 
 def _sum_log_lr(truth, table, n, reps, seed, workers):
     """ln r_n of n draws from truth per replication; table[j] = ln P_K/P_H."""
-    sums = np.empty(reps, dtype=np.float64)
 
-    def body(i):
-        idx = _finite_indices(truth, n, seed._rep_rng(i))
-        sums[i] = table[idx].sum()
+    def draw(rng):
+        return table[_finite_indices(truth, n, rng)].sum()
 
-    _for_each_rep(reps, workers, body)
-    return sums
+    return _replicate(seed, workers, np.empty(reps), draw)
 
 
-def _tally(report, decide_k):
-    """Record per-replication K/H decisions; returns how many chose K."""
-    count = int(decide_k.sum())
+def _tally(report, decide_k, truth=None):
+    """Record per-replication K/H decisions, and the error rate given the truth."""
+    count, reps = int(decide_k.sum()), len(decide_k)
     report.verdicts = tuple("K" if d else "H" for d in decide_k)
     report.verdict_counts["decide_k"] = count
-    report.verdict_counts["decide_h"] = len(decide_k) - count
-    report.rates["decide_k_rate"] = rate_estimate(count, len(decide_k))
-    return count
+    report.verdict_counts["decide_h"] = reps - count
+    report.rates["decide_k_rate"] = rate_estimate(count, reps)
+    if truth is not None:
+        wrong = count if truth == "H" else reps - count
+        report.rates["error_rate"] = rate_estimate(wrong, reps)
 
 
 def _log_posterior_odds(scenario, report, workers):
@@ -455,25 +456,16 @@ def _run_np(scenario, report, workers):
     report.values["total_analytic"] = rates.total
 
     mu = pair.mu_h if scenario.truth == "H" else pair.mu_k
-    reps = scenario.reps
-    seed = scenario.seed
-    decide_k = np.zeros(reps, dtype=bool)
 
-    def body(i):
-        rng = seed._rep_rng(i)
-        xbar = rng.normal(mu, pair.sigma, size=n).mean()
-        decide_k[i] = bool(xbar >= rule.cutoff)
+    def draw(rng):
+        return rng.normal(mu, pair.sigma, size=n).mean() >= rule.cutoff
 
-    _for_each_rep(reps, workers, body)
-    count = _tally(report, decide_k)
-    wrong = count if scenario.truth == "H" else reps - count
-    report.rates["error_rate"] = rate_estimate(wrong, reps)
+    decide_k = np.zeros(scenario.reps, dtype=bool)
+    _tally(report, _replicate(scenario.seed, workers, decide_k, draw), scenario.truth)
 
 
 def _run_map(scenario, report, workers):
-    count = _tally(report, _log_posterior_odds(scenario, report, workers) > 0)
-    wrong = count if scenario.truth == "H" else scenario.reps - count
-    report.rates["error_rate"] = rate_estimate(wrong, scenario.reps)
+    _tally(report, _log_posterior_odds(scenario, report, workers) > 0, scenario.truth)
 
 
 def _run_hoeffding(scenario, report, workers):
@@ -490,27 +482,17 @@ def _run_hoeffding(scenario, report, workers):
     h_probs = h.float_probs()
     log_h = np.where(h_probs > 0, np.log(np.where(h_probs > 0, h_probs, 1.0)), -np.inf)
     reps = scenario.reps
-    seed = scenario.seed
     report.values["n"] = n
     report.values["delta"] = delta
     report.values["radius"] = radius
 
-    rejected = np.zeros(reps, dtype=bool)
-
-    def body(i):
-        rng = seed._rep_rng(i)
-        idx = _finite_indices(truth, n, rng)
-        counts = np.bincount(idx, minlength=h.size)
+    def rejects(rng):
+        counts = np.bincount(_finite_indices(truth, n, rng), minlength=h.size)
         mask = counts > 0
-        freqs = counts[mask] / n
-        if np.any(np.isinf(log_h[mask])):
-            statistic = math.inf
-        else:
-            statistic = float(np.sum(freqs * (np.log(freqs) - log_h[mask])))
-        rejected[i] = statistic > radius
+        freqs = counts[mask] / n  # D(emp || h) is +inf once h's zero-mass symbol shows
+        return float(np.sum(freqs * (np.log(freqs) - log_h[mask]))) > radius
 
-    _for_each_rep(reps, workers, body)
-
+    rejected = _replicate(scenario.seed, workers, np.zeros(reps, dtype=bool), rejects)
     count = int(rejected.sum())
     report.verdicts = tuple("reject_h" if r else "accept_h" for r in rejected)
     report.verdict_counts["reject_h"] = count
@@ -522,8 +504,6 @@ def _run_optional_stopping(scenario, report, workers):
     alpha = _float_param(scenario, "alpha", default=0.05, check=_LEVEL)
     looks = _looks_param(scenario)
     s = _float_param(scenario, "s", default=1.0 / alpha, check=_THRESHOLD)
-    reps = scenario.reps
-    seed = scenario.seed
     report.values["alpha"] = alpha
     report.values["s"] = s
     report.values["lr_bound"] = 1.0 / s
@@ -531,9 +511,9 @@ def _run_optional_stopping(scenario, report, workers):
     horizon = looks[-1]
     marks = np.array(looks) - 1
     log_s = math.log(s)
-    rejected = np.zeros((reps, len(looks)), dtype=bool)
-    crossed = np.zeros((reps, len(looks)), dtype=bool)
 
+    # each null gives draw(rng) -> (statistic at each look, ln-ratio steps)
+    # and cut, the statistic's significance threshold at each look
     pair = scenario.gaussian
     if pair is not None:
         if scenario.truth != "H" or pair.effect != 0:
@@ -541,25 +521,20 @@ def _run_optional_stopping(scenario, report, workers):
                 f"scenario {scenario.name}: optional stopping monitors a true "
                 "null; use truth=H and a zero-effect gaussian pair"
             )
-        sigma = pair.sigma
-        mu = pair.mu_h
+        mu, sigma = pair.mu_h, pair.sigma
         positive = (lambda v: 0 < v < math.inf, "positive and finite")
         eta = _float_param(scenario, "lr-eta", default=0.5 * sigma, check=positive)
         report.values["lr_eta"] = eta
-        z_crit = -gaussian_quantile(alpha)
-        sqrt_looks = np.sqrt(np.array(looks, dtype=np.float64))
+        cut = -gaussian_quantile(alpha)  # z-score per look
+        centre = np.array(looks) * mu
+        scale = sigma * np.sqrt(np.array(looks, dtype=np.float64))
+        var, drift = sigma**2, eta**2 / (2.0 * sigma**2)
 
-        def body(i):
-            rng = seed._rep_rng(i)
+        def draw(rng):
             xs = rng.normal(mu, sigma, size=horizon)
-            cum = np.cumsum(xs)
-            z = (cum[marks] - np.array(looks) * mu) / (sigma * sqrt_looks)
-            rejected[i] = np.maximum.accumulate(z >= z_crit)
-            incr = (xs - mu) * eta / sigma**2 - eta**2 / (2.0 * sigma**2)
-            prefix_max = np.maximum.accumulate(np.cumsum(incr))
-            crossed[i] = prefix_max[marks] >= log_s
+            z = (np.cumsum(xs)[marks] - centre) / scale
+            return z, (xs - mu) * eta / var - drift
 
-        _for_each_rep(reps, workers, body)
     else:
         if scenario.h is None or scenario.k is None or scenario.h.size != 2:
             raise ScenarioError(
@@ -574,7 +549,7 @@ def _run_optional_stopping(scenario, report, workers):
         theta = h.probs[1]
         # per look, bisect for the first count whose (shrinking) upper tail is
         # significant, n_j + 1 if none is: a threshold on running counts
-        cutoffs = np.array([
+        cut = np.array([
             bisect.bisect_left(
                 range(n_j + 1),
                 True,
@@ -584,19 +559,20 @@ def _run_optional_stopping(scenario, report, workers):
         ])
         table = log_ratio_table(h, k)
 
-        def body(i):
-            rng = seed._rep_rng(i)
+        def draw(rng):
             idx = _finite_indices(h, horizon, rng)
-            counts = np.cumsum(idx)  # idx is 1 exactly for the second symbol
-            rejected[i] = np.maximum.accumulate(counts[marks] >= cutoffs)
-            prefix_max = np.maximum.accumulate(np.cumsum(table[idx]))
-            crossed[i] = prefix_max[marks] >= log_s
+            return np.cumsum(idx)[marks], table[idx]  # idx is 1 for the second symbol
 
-        _for_each_rep(reps, workers, body)
+    def monitor(rng):
+        statistic, steps = draw(rng)
+        prefix_max = np.maximum.accumulate(np.cumsum(steps))
+        return np.maximum.accumulate(statistic >= cut), prefix_max[marks] >= log_s
 
-    for name, hits in (("cumulative_reject", rejected), ("lr_crossed", crossed)):
-        for j, n_j in enumerate(looks):
-            report.rates[f"{name}@{n_j}"] = rate_estimate(int(hits[:, j].sum()), reps)
+    out = np.zeros((scenario.reps, 2, len(looks)), dtype=bool)
+    hits = _replicate(scenario.seed, workers, out, monitor).sum(axis=0)
+    for name, counts in zip(("cumulative_reject", "lr_crossed"), hits):
+        for n_j, count in zip(looks, counts):
+            report.rates[f"{name}@{n_j}"] = rate_estimate(int(count), scenario.reps)
 
 
 _RUNNERS = {
@@ -787,18 +763,14 @@ def family_wise_error(
     shift = eta * math.sqrt(n) / sigma
     analytic_power = gaussian_cdf(shift - z_crit)
 
-    any_reject = np.zeros(reps, dtype=bool)
-    power_hit = np.zeros(reps, dtype=bool)
+    def draw(rng):  # m null statistics, then one alternative
+        any_null = np.any(rng.standard_normal(m) >= z_crit)
+        return any_null, rng.standard_normal() + shift >= z_crit
 
-    def body(i):
-        rng = seed._rep_rng(i)  # m null statistics, then one alternative
-        any_reject[i] = np.any(rng.standard_normal(m) >= z_crit)
-        power_hit[i] = rng.standard_normal() + shift >= z_crit
-
-    _for_each_rep(reps, 1, body)
+    any_reject, power_hit = _replicate(seed, 1, np.zeros((reps, 2), bool), draw).sum(0)
     return (
         per_test,
-        rate_estimate(int(any_reject.sum()), reps),
+        rate_estimate(int(any_reject), reps),
         analytic_power,
-        rate_estimate(int(power_hit.sum()), reps),
+        rate_estimate(int(power_hit), reps),
     )

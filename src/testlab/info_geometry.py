@@ -179,7 +179,8 @@ def types_bound_radius(alphabet_size: int, n: int, delta: float) -> float:
         raise InputError(f"n must be at least 1, got {n}")
     if not 0 < delta < 1:
         raise InputError(f"delta must be in (0, 1), got {delta!r}")
-    return ((alphabet_size - 1) * math.log(n + 1) + math.log(1.0 / delta)) / n
+    # -ln(delta), not ln(1/delta): 1/delta overflows to inf for a subnormal
+    return ((alphabet_size - 1) * math.log(n + 1) - math.log(delta)) / n
 
 
 @dataclass(frozen=True)

@@ -53,13 +53,13 @@ class PowerSpec:
         unknowns = self.unknowns
         if len(unknowns) > 1:
             raise PowerSpecError(f"at most one unknown allowed, got {unknowns}")
-        if not self.sigma > 0:
-            raise PowerSpecError(f"sigma must be positive, got {self.sigma!r}")
+        if not 0 < self.sigma < math.inf:
+            raise PowerSpecError(f"sigma must be positive and finite, got {self.sigma!r}")
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if value is not None and not 0 < value <= 0.5:
                 raise PowerSpecError(f"{name} must be in (0, 0.5], got {value!r}")
-        if self.eta is not None and self.eta < 0:
+        if self.eta is not None and not self.eta >= 0:  # NaN too
             raise PowerSpecError(f"eta must be nonnegative, got {self.eta!r}")
         if self.n is not None:
             if int(self.n) != self.n or self.n < 1:
@@ -131,8 +131,13 @@ def solve_power(spec: PowerSpec) -> PowerSpec:
             return replace(spec, eta=z_sum * sigma / math.sqrt(spec.n))
         if spec.eta == 0:
             raise NoSolutionError("cannot size a study for a zero effect")
-        exact = (z_sum * sigma / spec.eta) ** 2
-        return replace(spec, n=max(1, math.ceil(exact - 1e-9)))
+        try:  # the square overflows, or ceil meets an infinite z_sum / eta
+            exact = (z_sum * sigma / spec.eta) ** 2
+            return replace(spec, n=max(1, math.ceil(exact - 1e-9)))
+        except OverflowError:
+            raise NoSolutionError(
+                f"the n for eta {spec.eta!r} lies beyond the float range"
+            ) from None
     known = spec.beta if unknown == "alpha" else spec.alpha
     # z = eta sqrt(n) / sigma - z_{1-known}
     z = spec.eta * math.sqrt(spec.n) / sigma + gaussian_quantile(known)

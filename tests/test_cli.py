@@ -1,12 +1,18 @@
+import contextlib
 import csv
+import decimal
 import io
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from testlab.cli import main
+from testlab.dist import parse_probability
 
 PAPER_SUITE = Path(__file__).resolve().parents[1] / "paper-suite"
 
@@ -222,6 +228,41 @@ def test_power_solves_n(capsys):
     assert row["n"] == "25"
 
 
+@pytest.mark.parametrize("eta", ["nan", "1e-300", "5e-324"])
+def test_power_at_the_edges_of_eta_exits_1(capsys, eta):
+    rc, out, err = run_cli(capsys, "power", "--alpha", "0.05", "--beta", "0.2", f"--eta={eta}")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "Infinity", "nan", "1e-5000"])
+@pytest.mark.parametrize("where", ["kl", "scenario", "bayes", "fisher"])
+def test_non_finite_or_out_of_range_probability_text_exits_1(capsys, tmp_path, dist_files, where, text):
+    h, k, data = dist_files
+    if where == "kl":
+        odd = tmp_path / "odd.tsv"
+        odd.write_text(f"a\t{text}\nb\t1/2\n")
+        argv = ["kl", str(odd), str(k)]
+    elif where == "scenario":
+        scenario = tmp_path / "s.scenario"
+        scenario.write_text(
+            "[scenario]\nname = edge\nparadigm = lr\nreps = 5\n\n"
+            f"[hypothesis-h]\na = {text}\nb = 1/2\n\n"
+            "[hypothesis-k]\na = 3/4\nb = 1/4\n\n[params]\ns = 8\nhorizon = 5\n"
+        )
+        argv = ["simulate", "--scenario", str(scenario)]
+    elif where == "bayes":
+        argv = ["bayes", "--h-dist", str(h), "--k-dist", str(k), "--data", str(data),
+                f"--prior-h={text}"]
+    else:
+        argv = ["fisher", "--n", "10", "--k", "3", f"--theta={text}"]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert "cannot parse probability" in err
+
+
 # --- simulate --------------------------------------------------------------------
 
 
@@ -367,3 +408,154 @@ def test_internal_error_exits_2(capsys, monkeypatch, tmp_path):
     rc, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
     assert rc == 2
     assert "internal error" in err
+
+
+# --- fuzz: generated inputs never exit 2 -------------------------------------------
+
+_SYMBOLS = ("a", "b", "c")
+_ODD_TEXT = (
+    "inf", "-inf", "Infinity", "nan", "-0", "1/0", "2/3e1", "0x1p-3", "1e-4300", "1e-4301",
+    "1e-10000000", "1e999999999", "0e-99999999", "1" * 5000, "0." + "3" * 4300,
+)
+_IN_RANGE = st.floats(0.001, 0.5).map(repr)  # valid for every float flag
+_NUMBER = st.one_of(
+    _IN_RANGE,
+    _IN_RANGE,
+    st.sampled_from(["nan", "inf", "-inf", "5e-324", "1e-320", "1e-300", "1e300", "-0.0"]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(repr),
+)
+_PROBABILITY = st.one_of(
+    st.fractions(0, 1, max_denominator=9).map(str),
+    st.floats(0, 1).map(repr),
+    st.sampled_from(_ODD_TEXT),
+    _NUMBER,
+)
+
+
+def _probability_text(p: Fraction):
+    texts = [f"{p.numerator}/{p.denominator}"]
+    if 10**6 % p.denominator == 0:  # exact as a decimal
+        exact = decimal.Decimal(p.numerator) / p.denominator
+        texts += [f"{exact:f}", f"{exact:e}"]
+    return st.sampled_from(texts)
+
+
+@st.composite
+def _dist_file(draw, k):
+    weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+    weights[0] += sum(weights) == 0  # some symbol has mass
+    texts = [draw(_probability_text(Fraction(w, sum(weights)))) for w in weights]
+    if draw(st.integers(0, 3)) == 0:
+        texts[draw(st.integers(0, k - 1))] = draw(_PROBABILITY)
+    return "".join(f"{x}\t{t}\n" for x, t in zip(_SYMBOLS, texts))
+
+
+@st.composite
+def _cli_runs(draw):
+    """(argv, files): '@name' in argv stands for the path of files[name]."""
+    command = draw(st.sampled_from(
+        ["fisher", "lr", "bayes", "kl", "map", "hoeffding", "np", "power"]
+    ))
+    size = draw(st.integers(2, 3))
+    symbols = st.sampled_from(_SYMBOLS[:size])
+    files = {
+        "h": draw(_dist_file(size)),
+        "k": draw(_dist_file(size)),
+        "data": "".join(f"{x}\n" for x in draw(st.lists(symbols, max_size=12))),
+    }
+    if draw(st.integers(0, 3)) == 0:  # a symbol the hypotheses may not know
+        files["data"] += draw(st.sampled_from("cd")) + "\n"
+    pair = ["--h-dist", "@h", "--k-dist", "@k"]
+
+    def number(flag):
+        return f"--{flag}={draw(_NUMBER)}"
+
+    if command == "fisher":
+        theta = draw(_PROBABILITY)
+        try:  # an exact tail costs about (n * digits of theta) squared
+            digits = len(str(parse_probability(theta).denominator))
+        except (ValueError, OverflowError):
+            digits = 1
+        n = draw(st.integers(-1, 200 if digits < 20 else 30 if digits < 400 else 6))
+        argv = ["fisher", f"--n={n}", f"--k={draw(st.integers(-1, n + 1))}",
+                f"--theta={theta}", number("level"),
+                f"--direction={draw(st.sampled_from(['ge', 'le', 'abs']))}"]
+    elif command == "lr":
+        argv = ["lr", *pair, "--data", "@data", number("s")]
+    elif command == "bayes":
+        argv = ["bayes", *pair, "--data", "@data", f"--prior-h={draw(_PROBABILITY)}"]
+    elif command == "map":
+        argv = ["map", *pair, f"--prior-h={draw(_PROBABILITY)}", "@data"]
+    elif command == "kl":
+        argv = ["kl", "@h", "@k"]
+    elif command == "hoeffding":
+        argv = ["hoeffding", "--hypothesis", "@h", number("delta"), "@data"]
+    elif command == "np":
+        argv = ["np", number("mu-h"), number("mu-k"), number("sigma"),
+                f"--n={draw(st.integers(-1, 50))}"]
+        if draw(st.booleans()):
+            argv.append(number("alpha"))
+    else:
+        unknown = draw(st.sampled_from(["alpha", "beta", "eta", "n"]))
+        argv = ["power", number("sigma")] + [
+            f"--n={draw(st.integers(-1, 10**6))}" if name == "n" else number(name)
+            for name in ("alpha", "beta", "eta", "n") if name != unknown
+        ]
+    return tuple(argv), files
+
+
+def _binomial_tail_mp(n, k, theta, direction):
+    with mpmath.workdps(40):
+        theta = mpmath.mpf(theta.numerator) / theta.denominator
+        terms = [mpmath.binomial(n, j) * theta**j * (1 - theta) ** (n - j) for j in range(n + 1)]
+        # counts are nonnegative, so the abs tail is the upper one
+        return mpmath.fsum(terms[: k + 1] if direction == "le" else terms[k:])
+
+
+_POWER_EDGE = ("--alpha=0.05", "--beta=0.2")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(run=_cli_runs())
+@example(run=(("kl", "@h", "@k"), {"h": "a\tinf\nb\t1/2\n", "k": "a\t1/2\nb\t1/2\n", "data": ""}))
+@example(run=(("kl", "@h", "@k"), {"h": "a\t1e999999999\n", "k": "a\t1\n", "data": ""}))
+@example(run=(("fisher", "--n=10", "--k=3", "--theta=inf"), {}))
+@example(run=(("fisher", "--n=10", "--k=3", "--theta=1e-10000000"), {}))
+@example(run=(("bayes", "--h-dist", "@h", "--k-dist", "@k", "--prior-h=inf", "--data", "@data"),
+              {"h": "a\t1/2\nb\t1/2\n", "k": "a\t1/4\nb\t3/4\n", "data": "a\n"}))
+@example(run=(("hoeffding", "--hypothesis", "@h", "--delta=1e-320", "@data"),
+              {"h": "a\t1/2\nb\t1/2\nc\t0\n", "data": "a\nc\nb\n"}))
+@example(run=(("power",) + _POWER_EDGE + ("--eta=nan",), {}))
+@example(run=(("power",) + _POWER_EDGE + ("--eta=1e-300",), {}))
+@example(run=(("power",) + _POWER_EDGE + ("--eta=0.5", "--sigma=inf"), {}))
+@example(run=(("fisher", "--n=1100", "--k=1100", "--theta=1/2"), {}))
+@example(run=(("fisher", "--n=14", "--k=0", "--theta=5e-324"), {}))  # 4 526-digit denominator
+def test_cli_fuzz_exits_0_or_1_and_fisher_tails_match_mpmath(run):
+    argv, files = run
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in files.items():
+            paths[f"@{name}"] = Path(tmp) / name
+            paths[f"@{name}"].write_text(text, encoding="utf-8")
+        argv = [str(paths.get(arg, arg)) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([*argv, "--format=csv"])
+    event(f"{argv[0]} exit {rc}")  # shown by --hypothesis-show-statistics
+    assert rc in (0, 1), err.getvalue()
+    if rc == 1:
+        assert err.getvalue().startswith("error: ")
+    if argv[0] != "fisher" or rc != 0:
+        return
+    flags = {"direction": "ge", **dict(arg[2:].split("=", 1) for arg in argv[1:])}
+    row = csv_row(out.getvalue())
+    p_exact = Fraction(*map(int, map(decimal.Decimal, row["p_exact"].split("/"))))
+    theta = parse_probability(flags["theta"])
+    want = _binomial_tail_mp(int(flags["n"]), int(flags["k"]), theta, flags["direction"])
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(p_exact.numerator) / p_exact.denominator - want) <= 1e-12 * want
+    # printed to 12 significant digits; a subnormal double is exact to its ulp
+    p_float = float(row["p_float"])
+    assert abs(p_float - want) <= 1e-11 * want + 5e-324
+    if p_float == 0 and want > 0:
+        assert abs(float(row["log10_p"]) - mpmath.log10(want)) <= 1e-11 * abs(mpmath.log10(want))

@@ -1,7 +1,10 @@
+import decimal
 import math
 import random
+import re
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import mpmath
@@ -27,7 +30,7 @@ from testlab.errors import (
     InputError,
     UnknownSymbolError,
 )
-from testlab.dist import _finite_indices
+from testlab.dist import _finite_indices, parse_probability
 
 from helpers import bernoulli, random_rational_dist, total_variation
 
@@ -65,6 +68,33 @@ def test_invalid_probabilities_rejected(probs):
 def test_duplicate_labels_rejected():
     with pytest.raises(DistributionError):
         FiniteDistribution(("a", "a"), (Fraction(1, 2), Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "Infinity", "+Infinity", "nan", "sNaN"])
+def test_parse_probability_rejects_non_finite_decimals(text):
+    with pytest.raises(InputError, match="cannot parse probability"):
+        parse_probability(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e-4301", "1e4301", "0.01e-4299", "0e-99999999", "1e-10000000", "1e999999999",
+     pytest.param("0." + "3" * 4301, id="4301-decimals"),
+     pytest.param("1" * 4302, id="4302-digits")],
+)
+def test_parse_probability_rejects_exponents_beyond_the_bound_at_once(text):
+    started = time.perf_counter()
+    with pytest.raises(InputError, match=re.escape(repr(text))):
+        parse_probability(text)
+    assert time.perf_counter() - started < 0.5
+
+
+@pytest.mark.parametrize("x", [5e-324, 2.2250738585072014e-308, 0.1, 1.0])
+def test_parse_probability_keeps_the_exact_decimal_of_every_double(x):
+    exact = decimal.Decimal(x)  # up to 1 074 fractional digits
+    assert parse_probability(f"{exact:f}") == Fraction(x)
+    assert parse_probability(str(exact)) == Fraction(x)
+    assert parse_probability("1e-4300") == Fraction(1, 10**4300)
 
 
 def test_log_prob_uniform():

@@ -11,10 +11,13 @@ from testlab import (
     Seed,
     Verdict,
     binomial_tail,
+    evidence_rate,
     family_wise_error,
+    harness,
     lr_threshold_as_kl_margin,
     load_scenario,
     optional_stopping_alpha,
+    robbins_violation_probability,
     run_scenario,
 )
 from testlab.dist import _finite_indices
@@ -117,6 +120,66 @@ def test_worker_count_does_not_change_results():
     serial = run_scenario(scenario, workers=1)
     threaded = run_scenario(scenario, workers=4)
     assert _csv_without_clock(serial) == _csv_without_clock(threaded)
+
+
+def _scenario(paradigm, reps, params, **fields):
+    return Scenario(name=paradigm, paradigm=paradigm, reps=reps, seed=Seed(7),
+                    h=H_FAIR, k=K_THREEQ, params=params, **fields)
+
+
+_OS_PARAMS = {"alpha": "0.05", "looks": "10 20"}
+_EXPERIMENTS = {
+    "lr-horizon": lambda: run_scenario(_scenario("lr", 1100, {"horizon": "20"}), workers=2),
+    "lr-n": lambda: run_scenario(_scenario("lr", 300, {"n": "20"}), workers=2),
+    "bayes": lambda: run_scenario(_scenario("bayes", 300, {"n": "20"}), workers=2),
+    "np": lambda: run_scenario(
+        _scenario("np", 300, {"n": "4"}, gaussian=GaussianPair(0.0, 0.5, 1.0)), workers=2
+    ),
+    "map": lambda: run_scenario(_scenario("map", 300, {"n": "20"}, truth="K"), workers=2),
+    "hoeffding": lambda: run_scenario(_scenario("hoeffding", 300, {"n": "20"}), workers=2),
+    "optional-stopping-gaussian": lambda: run_scenario(
+        _scenario("optional-stopping", 300, _OS_PARAMS, gaussian=GaussianPair(0, 0, 1)),
+        workers=2,
+    ),
+    "optional-stopping-finite": lambda: run_scenario(
+        _scenario("optional-stopping", 300, _OS_PARAMS), workers=2
+    ),
+    "robbins": lambda: robbins_violation_probability(H_FAIR, K_THREEQ, 8.0, 20, 300, Seed(7)),
+    "evidence-rate": lambda: evidence_rate(H_FAIR, K_THREEQ, 20, 300, Seed(7)),
+    "family-wise-error": lambda: family_wise_error(5, 0.05, "bonferroni", 300, Seed(7)),
+    "optional-stopping-alpha": lambda: optional_stopping_alpha(
+        GaussianPair(0, 0, 1), alpha=0.05, looks=(10, 20), reps=300, seed=Seed(7)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXPERIMENTS))
+def test_every_replication_runs_through_one_for_each_rep_call(monkeypatch, name):
+    # perfbench's tracer rebinds harness._for_each_rep the same way
+    calls = []
+    original = harness._for_each_rep
+
+    def counting(reps, workers, body):
+        seen = []
+        calls.append((reps, seen))
+
+        def counted(i):
+            seen.append(i)
+            return body(i)
+
+        return original(reps, workers, counted)
+
+    monkeypatch.setattr(harness, "_for_each_rep", counting)
+    _EXPERIMENTS[name]()
+    reps = 1100 if name == "lr-horizon" else 300
+    assert [(n, sorted(seen)) for n, seen in calls] == [(reps, list(range(reps)))]
+
+
+def test_an_exact_fisher_scenario_replicates_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "_for_each_rep", lambda *args: calls.append(args))
+    run_scenario(_scenario("fisher", 0, {"n": "10", "k": "8"}))
+    assert calls == []
 
 
 def test_rates_are_probabilities_with_finite_se():

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -293,6 +294,22 @@ def test_radius_hand_value():
         (math.log(101) + math.log(20)) / 100, abs=1e-12
     )
     assert types_bound_radius(2, 100, 0.05) == pytest.approx(0.0761, abs=1e-4)
+
+
+def test_radius_is_bit_identical_to_the_reciprocal_form_at_five_percent():
+    for k, n in ((2, 100), (4, 1000), (8, 7)):
+        want = ((k - 1) * math.log(n + 1) + math.log(1.0 / 0.05)) / n
+        assert types_bound_radius(k, n, 0.05) == want
+
+
+def test_radius_stays_finite_for_a_subnormal_delta():
+    want = (2 * mpmath.log(4) - mpmath.log(mpmath.mpf(1e-320))) / 3  # 1e-320 as stored
+    assert types_bound_radius(3, 3, 1e-320) == pytest.approx(float(want), rel=1e-14)
+    # H gives 'c' zero mass, so observing it falsifies H at every delta
+    h = FiniteDistribution(("a", "b", "c"), (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+    for delta in (1e-300, 1e-320, 5e-324):
+        result = hoeffding_test(h, ["a", "c", "b"], UniversalTestConfig(delta=delta))
+        assert result.decision is UniversalDecision.REJECT_H
 
 
 def test_universal_test_accepts_perfectly_balanced_sample():

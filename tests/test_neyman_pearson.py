@@ -196,6 +196,27 @@ def test_powerspec_field_ranges():
         PowerSpec(alpha=0.05, beta=0.2, n=0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [dict(eta=math.nan), dict(eta=0.5, sigma=math.inf), dict(n=25, sigma=math.inf)],
+)
+def test_powerspec_rejects_nan_eta_and_infinite_sigma(fields):
+    with pytest.raises(PowerSpecError):
+        PowerSpec(alpha=0.05, beta=0.2, **fields)
+
+
+@pytest.mark.parametrize("eta, sigma", [(1e-300, 1.0), (5e-324, 1.0), (1e-150, 1e10)])
+def test_solve_n_beyond_the_float_range_has_no_solution(eta, sigma):
+    with pytest.raises(NoSolutionError, match="float range"):
+        solve_power(PowerSpec(alpha=0.05, beta=0.2, eta=eta, sigma=sigma))
+
+
+def test_solve_n_just_inside_the_float_range():
+    solved = solve_power(PowerSpec(alpha=0.05, beta=0.2, eta=1e-150))
+    z_sum = -gaussian_quantile(0.05) - gaussian_quantile(0.2)
+    assert solved.n == pytest.approx((z_sum / 1e-150) ** 2, rel=1e-12)
+
+
 def test_round_trip_consistency_on_grid():
     # build exactly-consistent quadruples by solving eta, then drop and
     # re-solve every coordinate
