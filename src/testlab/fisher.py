@@ -10,12 +10,13 @@ numerator and denominator instead of a rounded double.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .dist import FiniteDistribution, Probability, _show, as_probability
-from .errors import InputError, UnorderedAlphabetError
+from .errors import InputError, UnknownSymbolError, UnorderedAlphabetError
 
 
 class TailDirection(Enum):
@@ -102,22 +103,47 @@ def binomial_tail(
     theta may be a Fraction, an int, a decimal/fraction string, or a float
     (floats are taken at their exact binary value). For theta = 1/2 the
     resulting denominator divides 2**n.
+
+    With theta = a/b in lowest terms and c = b - a, the upper tail is one
+    integer sum over b**n: P(X >= k) = sum_{j >= k} t_j / b**n with
+    t_j = C(n, j) a**j c**(n - j), and each term follows exactly from the
+    last, t_{j+1} = t_j (n - j) a // ((j + 1) c). The lower tail is the
+    mirrored upper one, P(X <= k; theta) = P(X >= n - k; 1 - theta), and on
+    the counts 0..n the two-sided |X| >= |k| tail is the upper one.
     """
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
     if not 0 <= k <= n:
         raise InputError(f"k must be in [0, {n}], got {k}")
     theta = as_probability(theta)
-    if isinstance(theta, float):
+    if isinstance(theta, float) and math.isfinite(theta):
         theta = Fraction(theta)
-    if not 0 <= theta <= 1:
+    if not 0 <= theta <= 1:  # also false for NaN
         raise InputError(f"theta must be in [0, 1], got {_show(theta)}")
-    one = Fraction(1)
-    probs = tuple(
-        math.comb(n, j) * theta**j * (one - theta) ** (n - j) for j in range(n + 1)
+    j = int(k)
+    if j != k:  # the labels are the counts 0..n
+        raise UnknownSymbolError(f"symbol {k!r} not in alphabet")
+    if not isinstance(direction, TailDirection):
+        raise InputError(f"unknown direction {direction!r}")
+    n = operator.index(n)  # a numpy integer would wrap in the integer sum
+    a, b = theta.numerator, theta.denominator
+    c = b - a
+    if direction is TailDirection.LESS_EQUAL:
+        j, a, c = n - j, c, a
+    point = term = total = math.comb(n, j) * a**j * c ** (n - j)
+    if c == 0:  # all the mass sits on n, which every upper tail holds
+        total = a**n
+    else:
+        for i in range(j, n):
+            term = term * ((n - i) * a) // ((i + 1) * c)
+            total += term
+    den = b**n
+    return PValueReport(
+        p=Fraction(total, den),
+        direction=direction,
+        point_prob=Fraction(point, den),
+        n_extreme=n - j + 1,
     )
-    counts = FiniteDistribution(tuple(range(n + 1)), probs)
-    return p_value(counts, k, direction)
 
 
 def significance_verdict(p, level: float = 0.05) -> bool:

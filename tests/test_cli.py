@@ -472,11 +472,11 @@ def _cli_runs(draw):
 
     if command == "fisher":
         theta = draw(_PROBABILITY)
-        try:  # an exact tail costs about (n * digits of theta) squared
+        try:  # keep the exact tail, about n times theta's digits, under 60 000 digits
             digits = len(str(parse_probability(theta).denominator))
         except (ValueError, OverflowError):
             digits = 1
-        n = draw(st.integers(-1, 200 if digits < 20 else 30 if digits < 400 else 6))
+        n = draw(st.integers(-1, min(200, 60_000 // digits)))
         argv = ["fisher", f"--n={n}", f"--k={draw(st.integers(-1, n + 1))}",
                 f"--theta={theta}", number("level"),
                 f"--direction={draw(st.sampled_from(['ge', 'le', 'abs']))}"]
@@ -530,6 +530,7 @@ _POWER_EDGE = ("--alpha=0.05", "--beta=0.2")
 @example(run=(("power",) + _POWER_EDGE + ("--eta=0.5", "--sigma=inf"), {}))
 @example(run=(("fisher", "--n=1100", "--k=1100", "--theta=1/2"), {}))
 @example(run=(("fisher", "--n=14", "--k=0", "--theta=5e-324"), {}))  # 4 526-digit denominator
+@example(run=(("fisher", "--n=200", "--k=3", "--theta=1e-300"), {}))  # 60 000 digits
 def test_cli_fuzz_exits_0_or_1_and_fisher_tails_match_mpmath(run):
     argv, files = run
     with tempfile.TemporaryDirectory() as tmp:

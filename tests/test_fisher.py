@@ -14,7 +14,8 @@ from testlab import (
     p_value,
     significance_verdict,
 )
-from testlab.errors import InputError, UnorderedAlphabetError
+from testlab.dist import as_probability
+from testlab.errors import InputError, UnknownSymbolError, UnorderedAlphabetError
 
 from helpers import random_rational_dist, super_uniformity_holds
 
@@ -82,6 +83,57 @@ def test_binomial_tail_input_checks():
         binomial_tail(5, 6, Fraction(1, 2))
     with pytest.raises(InputError):
         binomial_tail(5, 2, Fraction(3, 2))
+    with pytest.raises(UnknownSymbolError, match="symbol 2.5 not in alphabet"):
+        binomial_tail(5, 2.5, Fraction(1, 2))
+    with pytest.raises(InputError, match="unknown direction 'ge'"):
+        binomial_tail(5, 2, Fraction(1, 2), "ge")
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_binomial_tail_rejects_non_finite_float_theta(theta):
+    with pytest.raises(InputError, match=rf"theta must be in \[0, 1\], got {theta!r}$"):
+        binomial_tail(5, 2, theta)
+
+
+def _binomial_tail_by_terms(n, k, theta, direction):
+    """The tail built term by term: n + 1 Fractions, validated as a
+    FiniteDistribution over the counts 0..n, then summed by p_value."""
+    theta = as_probability(theta)
+    if isinstance(theta, float):
+        theta = Fraction(theta)
+    probs = tuple(
+        math.comb(n, j) * theta**j * (1 - theta) ** (n - j) for j in range(n + 1)
+    )
+    return p_value(FiniteDistribution(tuple(range(n + 1)), probs), k, direction)
+
+
+_THETA = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    st.floats(min_value=0, max_value=1),
+    st.decimals(min_value=0, max_value=1, places=8).map(str),
+    st.integers(1, 40).map(lambda e: f"1e-{e}"),
+)
+
+
+@st.composite
+def _tail_cases(draw):
+    theta = draw(_THETA)
+    # the reference's cost grows with n times the digits of theta
+    bits = Fraction(as_probability(theta)).denominator.bit_length()
+    n = draw(st.integers(1, 60 if bits <= 256 else 8))
+    return n, draw(st.integers(0, n)), theta, draw(st.sampled_from([GE, LE, ABS]))
+
+
+@given(_tail_cases())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_integer_sum_tail_equals_the_term_by_term_tail(case):
+    got, want = binomial_tail(*case), _binomial_tail_by_terms(*case)
+    assert (got.p, got.point_prob, got.n_extreme, got.direction) == (
+        want.p, want.point_prob, want.n_extreme, want.direction
+    )
+    assert type(got.p) is type(want.p) is Fraction
+    assert type(got.point_prob) is type(want.point_prob) is Fraction
 
 
 # --- directed p-values ---------------------------------------------------------

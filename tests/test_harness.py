@@ -175,6 +175,25 @@ def test_every_replication_runs_through_one_for_each_rep_call(monkeypatch, name)
     assert [(n, sorted(seen)) for n, seen in calls] == [(reps, list(range(reps)))]
 
 
+_ORDERED = {
+    "lr-n": lambda: _scenario("lr", 1100, {"n": "20"}),
+    "bayes": lambda: _scenario("bayes", 1100, {"n": "20"}),
+    "map": lambda: _scenario("map", 1100, {"n": "20"}, truth="K"),
+    "np": lambda: _scenario("np", 1100, {"n": "4"}, gaussian=GaussianPair(0.0, 0.5, 1.0)),
+    "hoeffding": lambda: _scenario("hoeffding", 1100, {"n": "20"}, truth="K"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORDERED))
+def test_per_replication_verdicts_do_not_depend_on_the_worker_count(name):
+    # every CSV row sums over replications; only the verdicts keep their order.
+    # 1 100 replications make two chunks, one per worker
+    serial = run_scenario(_ORDERED[name](), workers=1).verdicts
+    threaded = run_scenario(_ORDERED[name](), workers=2).verdicts
+    assert len(serial) == 1100 and len(set(serial)) > 1
+    assert serial == threaded
+
+
 def test_an_exact_fisher_scenario_replicates_nothing(monkeypatch):
     calls = []
     monkeypatch.setattr(harness, "_for_each_rep", lambda *args: calls.append(args))
