@@ -72,18 +72,20 @@ def _cmd_fisher(args):
             raise _CliInputError("either --dist/--observed or --n/--k/--theta")
         report = fisher.binomial_tail(args.n, args.k, args.theta, direction)
     significant = report.significant(args.level)
+    # an exact tail can run to many thousands of digits: render it once
+    p_text, point_text = _render(report.p), _render(report.point_prob)
     pairs = [
-        ("p_exact", report.p),
+        ("p_exact", p_text),
         ("p_float", float(report.p)),
-        ("point_prob", report.point_prob),
+        ("point_prob", point_text),
         ("n_extreme", report.n_extreme),
         ("level", args.level),
         ("significant", significant),
     ]
     text = [
-        f"p-value (exact)   = {_render(report.p)}",
+        f"p-value (exact)   = {p_text}",
         f"p-value (float)   = {float(report.p):.6e}",
-        f"point probability = {_render(report.point_prob)}",
+        f"point probability = {point_text}",
         f"tail outcomes     = {report.n_extreme}",
         f"significant at {_render(args.level)}? {'yes' if significant else 'no'}",
     ]

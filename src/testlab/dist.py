@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import decimal
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -42,9 +41,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M32, _M128 = 2**32 - 1, 2**128 - 1
 _BLOCK = 1024  # replication indices hashed per numpy pass
-# per thread: ((root, stream, block), that block's words, the generator); a
-# cache only, since the key names everything the words depend on
-_REP = threading.local()
 
 
 def parse_probability(text: str) -> Fraction:
@@ -320,7 +316,8 @@ class Seed:
     (``rng(i)`` for replication i) depend only on the values, never on
     call order, which is what makes chunked Monte Carlo runs merge-safe.
     Monte Carlo replications draw what ``rng(i)`` would from one generator
-    per thread, reseeded by ``_rep_rng(i)`` instead of built anew.
+    per chunk of replications, reseeded by ``_rep_rngs`` instead of built
+    anew.
     """
 
     root: int
@@ -376,43 +373,48 @@ class Seed:
             v ^= v >> 16
         return out.view("<u8")
 
-    def _rep_rng(self, i: int) -> np.random.Generator:
-        """This thread's one reused generator, set to the state ``rng(i)``
-        starts in; it stays valid until the thread's next ``_rep_rng``."""
-        if not 0 <= i < 2**32:  # a two-word spawn key: not what blocks hash
-            return self.rng(i)
-        key = (self.root, self.stream, i // _BLOCK)
-        try:
-            cached, words, gen = _REP.slot
-        except AttributeError:
-            cached, words, gen = None, None, np.random.Generator(np.random.PCG64(0))
-        if cached != key:
-            words = self._block_words(key[2])
-            _REP.slot = key, words, gen
-        a, b, c, e = words[i % _BLOCK].tolist()
-        # PCG64's seeding: inc from (c, e), then two steps from state 0 with
-        # the seed (a, b) added between them
-        inc = ((c << 64 | e) << 1 | 1) & _M128
-        state = (((a << 64 | b) + inc) * _PCG_MULT + inc) & _M128
-        gen.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return gen
+    def _rep_rngs(self, span: range):
+        """For each i of span, one generator set to the state ``rng(i)``
+        starts in, valid until the next is yielded. span lies within one
+        block of _BLOCK indices, whose words are hashed once."""
+        if span.stop > 2**32:  # a two-word spawn key: not what blocks hash
+            yield from map(self.rng, span)
+            return
+        words = self._block_words(span.start // _BLOCK).tolist()
+        gen = np.random.Generator(np.random.PCG64(0))
+        for i in span:
+            a, b, c, e = words[i % _BLOCK]
+            # PCG64's seeding: inc from (c, e), then two steps from state 0
+            # with the seed (a, b) added between them
+            inc = ((c << 64 | e) << 1 | 1) & _M128
+            state = (((a << 64 | b) + inc) * _PCG_MULT + inc) & _M128
+            gen.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield gen
+
+
+def _step_indices(d: FiniteDistribution, u: np.ndarray) -> np.ndarray:
+    """The alphabet index each uniform of u (any shape) draws from d: index
+    j counts the steps (float CDF values before the last support symbol)
+    that the uniform reaches, so no zero-mass symbol is drawn. This is
+    searchsorted(cdf, u, "right") on the support, and faster up to k of
+    about 40 symbols. Counts are the smallest unsigned type that holds
+    them, added as bytes; look them up with ``take``, which reads them
+    without first widening them to intp as ``table[idx]`` does."""
+    steps = d._float_steps
+    idx = np.zeros(u.shape, np.min_scalar_type(len(steps)))
+    for step in steps:
+        idx += (u >= step).view(np.uint8)
+    return idx
 
 
 def _finite_indices(d: FiniteDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n iid alphabet indices drawn from d: index j counts the steps (float
-    CDF values before the last support symbol) that a uniform reaches, so no
-    zero-mass symbol is drawn. This is searchsorted(cdf, u, "right") on the
-    support, and faster up to k of about 40 symbols."""
-    u = rng.random(n)
-    idx = np.zeros(n, np.intp)
-    for step in d._float_steps:
-        idx += u >= step
-    return idx
+    """n iid alphabet indices drawn from d with rng, as intp."""
+    return _step_indices(d, rng.random(n)).astype(np.intp)
 
 
 def sample(d, n: int, seed: Seed):

@@ -3,11 +3,14 @@
 A scenario is one INI-style file describing a data-generating truth, a
 testing paradigm and its parameters, a replication count and a seed. Runs
 are bit-reproducible: ``_replicate`` alone seeds replication i, with what
-seed.rng(i) would draw from one reseeded generator per thread, and alone
-stores its result, in slot i; so the worker count never changes a result,
-and reducers only ever merge order-independent per-rep results. The single
-machine-readable output is CSV with floats at 12 significant digits;
-wall-clock time is the one field excluded from reproducibility comparisons.
+seed.rng(i) would draw from one generator reseeded per replication, and
+alone stores its result, in slot i; so the worker count never changes a
+result, and reducers only ever merge order-independent per-rep results.
+Each replication draws into one row of a block, and the runner's reduce
+turns the whole block into its rows' results at once in 2-D numpy. The
+single machine-readable output is CSV with floats at 12 significant
+digits; wall-clock time is the one field excluded from reproducibility
+comparisons.
 
 Scenario keys
 -------------
@@ -29,12 +32,14 @@ Scenario keys
 Sizes (horizon, n) are at least 1 (bayes/map n at least 0), s is finite
 and at least 1, optional-stopping alpha lies in (0, 1) and lr-eta is
 positive and finite; any other value is a ScenarioError naming its key.
+A hoeffding truth of K must share the alphabet of [hypothesis-h].
 
 The library's Monte Carlo estimators replicate here too, so this module
 owns every replication loop and seed stream: optional_stopping_alpha and
 robbins_violation_probability wrap ``run``, evidence_rate shares the
 bayes/map ln r_n sampler, and family_wise_error uses ``_replicate``; each
-runner only describes one replication's draw.
+runner only names its draw (width values, uniform or normal) and its
+reduce of a block of draws.
 """
 
 from __future__ import annotations
@@ -56,13 +61,16 @@ import numpy as np
 
 from . import fisher, info_geometry, neyman_pearson
 from .dist import (
+    _BLOCK,
     FiniteDistribution,
     GaussianPair,
     Seed,
-    _finite_indices,
+    _finite_indices,  # noqa: F401 - unused; perfbench's tracer rebinds it here
+    _step_indices,
     gaussian_cdf,
     gaussian_quantile,
     parse_probability,
+    require_same_alphabet,
 )
 from .errors import InfiniteDivergenceError, InputError, ScenarioError, TestlabError
 from .evidential import Priors, log_ratio_table
@@ -78,7 +86,10 @@ PARADIGMS = (
     "optional-stopping",
 )
 
-_CHUNK = 1024  # fixed chunking so worker count cannot reorder anything
+# fixed chunks, so the worker count cannot reorder anything; a chunk is one
+# block of seed words, hashed once
+_CHUNK = _BLOCK
+_CELLS = 2**14  # draws per block buffer: one row when a path is longer
 
 
 @dataclass(frozen=True)
@@ -274,31 +285,44 @@ def _truth_dist(scenario):
 
 
 def _for_each_rep(reps: int, workers: int, body) -> None:
-    """Run body(rep_index) for every replication, chunked for thread reuse.
+    """Run body(span) once for each fixed chunk of replication indices.
 
-    Chunk boundaries are fixed, bodies write only to their own rep slot,
-    and merging is plain indexing, so the worker count can change timing
-    but never results.
+    Chunk boundaries are fixed, bodies write only to their own chunk's
+    slots, and merging is plain indexing, so the worker count can change
+    timing but never results.
     """
     spans = [range(lo, min(lo + _CHUNK, reps)) for lo in range(0, reps, _CHUNK)]
-
-    def run_span(span):
-        for i in span:
-            body(i)
-
     if workers <= 1 or len(spans) <= 1:
-        list(map(run_span, spans))
+        list(map(body, spans))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_span, spans))
+            list(pool.map(body, spans))
 
 
-def _replicate(seed, workers, out, draw):
-    """out[i] = draw(replication i's generator) for every slot of out, through
-    the module global ``_for_each_rep``, so rebinding it sees each replication."""
+def _replicate(seed, workers, out, width, fill, reduce):
+    """out[i] = replication i's result for every slot of out.
 
-    def body(i):
-        out[i] = draw(seed._rep_rng(i))
+    Replication i draws width values into one row of a block with the
+    Generator method named fill ("random" for finite alphabets,
+    "standard_normal" for Gaussians), from the generator seed.rng(i) would
+    give. reduce maps a (rows, width) block to its rows' results in 2-D
+    numpy, once per block of at most _CELLS draws, working along the last
+    axis; a block of one row reaches it as that row, 1-D, since numpy's
+    2-D accumulate holds the GIL and its 2-D calls cost more per call than
+    one long row saves. Chunks run through the module global
+    ``_for_each_rep``, so rebinding it sees each chunk.
+    """
+    rows = max(1, _CELLS // max(width, 1))
+    fill = getattr(np.random.Generator, fill)
+
+    def body(span):
+        rngs = seed._rep_rngs(span)
+        block = np.empty((min(rows, len(span)), width))
+        for lo in range(span.start, span.stop, rows):
+            part = block[: span.stop - lo]
+            for row, rng in zip(part, rngs):
+                fill(rng, out=row)
+            out[lo : lo + len(part)] = reduce(part if len(part) > 1 else part[0])
 
     _for_each_rep(len(out), workers, body)
     return out
@@ -361,10 +385,12 @@ def _run_lr(scenario, report, workers):
         report.values["horizon"] = horizon
         report.values["crossing_bound"] = 1.0 / s
 
-        def crosses(rng):
-            return np.cumsum(table[_finite_indices(truth, horizon, rng)]).max() >= log_s
+        def crosses(u):
+            steps = table.take(_step_indices(truth, u))
+            return np.cumsum(steps, axis=-1).max(axis=-1) >= log_s
 
-        crossed = _replicate(seed, workers, np.zeros(reps, dtype=bool), crosses)
+        crossed = np.zeros(reps, dtype=bool)
+        _replicate(seed, workers, crossed, horizon, "random", crosses)
         report.rates["crossing_rate"] = rate_estimate(int(crossed.sum()), reps)
         return
 
@@ -373,10 +399,10 @@ def _run_lr(scenario, report, workers):
     report.values["n"] = n
     marks = np.array(checkpoints + (n,)) - 1  # ln r at each checkpoint, then ln r_n
 
-    def path(rng):
-        return np.cumsum(table[_finite_indices(truth, n, rng)])[marks]
+    def path(u):
+        return np.cumsum(table.take(_step_indices(truth, u)), axis=-1)[..., marks]
 
-    rows = _replicate(seed, workers, np.empty((reps, len(marks))), path)
+    rows = _replicate(seed, workers, np.empty((reps, len(marks))), n, "random", path)
     sums, traj = rows[:, -1], rows[:, :-1]
 
     verdicts = np.where(
@@ -398,10 +424,10 @@ def _run_lr(scenario, report, workers):
 def _sum_log_lr(truth, table, n, reps, seed, workers):
     """ln r_n of n draws from truth per replication; table[j] = ln P_K/P_H."""
 
-    def draw(rng):
-        return table[_finite_indices(truth, n, rng)].sum()
+    def sums(u):
+        return table.take(_step_indices(truth, u)).sum(axis=-1)
 
-    return _replicate(seed, workers, np.empty(reps), draw)
+    return _replicate(seed, workers, np.empty(reps), n, "random", sums)
 
 
 def _tally(report, decide_k, truth=None):
@@ -457,11 +483,12 @@ def _run_np(scenario, report, workers):
 
     mu = pair.mu_h if scenario.truth == "H" else pair.mu_k
 
-    def draw(rng):
-        return rng.normal(mu, pair.sigma, size=n).mean() >= rule.cutoff
+    def decide(z):  # Generator.normal draws mu + sigma * z
+        return (mu + pair.sigma * z).mean(axis=-1) >= rule.cutoff
 
     decide_k = np.zeros(scenario.reps, dtype=bool)
-    _tally(report, _replicate(scenario.seed, workers, decide_k, draw), scenario.truth)
+    _replicate(scenario.seed, workers, decide_k, n, "standard_normal", decide)
+    _tally(report, decide_k, scenario.truth)
 
 
 def _run_map(scenario, report, workers):
@@ -476,6 +503,7 @@ def _run_hoeffding(scenario, report, workers):
             f"scenario {scenario.name}: needs [hypothesis-h], and [hypothesis-k] "
             "for truth=K"
         )
+    require_same_alphabet(h, truth)
     n = _int_param(scenario, "n", required=True)
     delta = _float_param(scenario, "delta", default=0.05)
     radius = info_geometry.types_bound_radius(h.size, n, delta)
@@ -486,18 +514,44 @@ def _run_hoeffding(scenario, report, workers):
     report.values["delta"] = delta
     report.values["radius"] = radius
 
-    def rejects(rng):
-        counts = np.bincount(_finite_indices(truth, n, rng), minlength=h.size)
-        mask = counts > 0
-        freqs = counts[mask] / n  # D(emp || h) is +inf once h's zero-mass symbol shows
-        return float(np.sum(freqs * (np.log(freqs) - log_h[mask]))) > radius
+    def rejects(u):
+        counts = _row_counts(_step_indices(truth, u), h.size)
+        return (_divergences(counts, n, log_h) > radius).reshape(u.shape[:-1])
 
-    rejected = _replicate(scenario.seed, workers, np.zeros(reps, dtype=bool), rejects)
+    rejected = np.zeros(reps, dtype=bool)
+    _replicate(scenario.seed, workers, rejected, n, "random", rejects)
     count = int(rejected.sum())
     report.verdicts = tuple("reject_h" if r else "accept_h" for r in rejected)
     report.verdict_counts["reject_h"] = count
     report.verdict_counts["accept_h"] = reps - count
     report.rates["reject_rate"] = rate_estimate(count, reps)
+
+
+def _row_counts(idx, size):
+    """How often each of size symbols shows in each row of indices idx,
+    one row when idx is 1-D."""
+    idx = np.atleast_2d(idx)
+    rows = len(idx)
+    offsets = size * np.arange(rows)[:, None]
+    counts = np.bincount((idx + offsets).ravel(), minlength=rows * size)
+    return counts.reshape(rows, size)
+
+
+def _divergences(counts, n, log_h):
+    """D(emp || h) of each row of symbol counts; +inf once one of h's
+    zero-mass symbols shows. Each row is summed as np.sum sums its nonzero
+    terms alone: a zero-padded sum of 8 or more terms rounds differently,
+    so only rows that show every symbol are summed as a block."""
+    freqs = counts / n
+    with np.errstate(divide="ignore", invalid="ignore"):  # the unseen are nan
+        terms = freqs * (np.log(freqs) - log_h)
+    seen = counts > 0
+    full = seen.all(axis=1)
+    out = np.empty(len(counts))
+    out[full] = terms[full].sum(axis=1)
+    for r in np.flatnonzero(~full):
+        out[r] = np.sum(terms[r][seen[r]])
+    return out
 
 
 def _run_optional_stopping(scenario, report, workers):
@@ -512,8 +566,8 @@ def _run_optional_stopping(scenario, report, workers):
     marks = np.array(looks) - 1
     log_s = math.log(s)
 
-    # each null gives draw(rng) -> (statistic at each look, ln-ratio steps)
-    # and cut, the statistic's significance threshold at each look
+    # each null gives fill, draw(block) -> (statistic at each look, ln-ratio
+    # steps) per row, and cut, the statistic's significance threshold per look
     pair = scenario.gaussian
     if pair is not None:
         if scenario.truth != "H" or pair.effect != 0:
@@ -530,10 +584,12 @@ def _run_optional_stopping(scenario, report, workers):
         scale = sigma * np.sqrt(np.array(looks, dtype=np.float64))
         var, drift = sigma**2, eta**2 / (2.0 * sigma**2)
 
-        def draw(rng):
-            xs = rng.normal(mu, sigma, size=horizon)
-            z = (np.cumsum(xs)[marks] - centre) / scale
-            return z, (xs - mu) * eta / var - drift
+        fill = "standard_normal"
+
+        def draw(z):
+            xs = mu + sigma * z  # what Generator.normal draws
+            z_scores = (np.cumsum(xs, axis=-1)[..., marks] - centre) / scale
+            return z_scores, (xs - mu) * eta / var - drift
 
     else:
         if scenario.h is None or scenario.k is None or scenario.h.size != 2:
@@ -559,17 +615,20 @@ def _run_optional_stopping(scenario, report, workers):
         ])
         table = log_ratio_table(h, k)
 
-        def draw(rng):
-            idx = _finite_indices(h, horizon, rng)
-            return np.cumsum(idx)[marks], table[idx]  # idx is 1 for the second symbol
+        fill = "random"
 
-    def monitor(rng):
-        statistic, steps = draw(rng)
-        prefix_max = np.maximum.accumulate(np.cumsum(steps))
-        return np.maximum.accumulate(statistic >= cut), prefix_max[marks] >= log_s
+        def draw(u):
+            idx = _step_indices(h, u)  # 1 for the second symbol
+            return np.cumsum(idx, axis=-1)[..., marks], table.take(idx)
+
+    def monitor(block):
+        statistic, steps = draw(block)
+        prefix_max = np.maximum.accumulate(np.cumsum(steps, axis=-1), axis=-1)
+        rejected = np.maximum.accumulate(statistic >= cut, axis=-1)
+        return np.stack((rejected, prefix_max[..., marks] >= log_s), axis=-2)
 
     out = np.zeros((scenario.reps, 2, len(looks)), dtype=bool)
-    hits = _replicate(scenario.seed, workers, out, monitor).sum(axis=0)
+    hits = _replicate(scenario.seed, workers, out, horizon, fill, monitor).sum(axis=0)
     for name, counts in zip(("cumulative_reject", "lr_crossed"), hits):
         for n_j, count in zip(looks, counts):
             report.rates[f"{name}@{n_j}"] = rate_estimate(int(count), scenario.reps)
@@ -763,11 +822,12 @@ def family_wise_error(
     shift = eta * math.sqrt(n) / sigma
     analytic_power = gaussian_cdf(shift - z_crit)
 
-    def draw(rng):  # m null statistics, then one alternative
-        any_null = np.any(rng.standard_normal(m) >= z_crit)
-        return any_null, rng.standard_normal() + shift >= z_crit
+    def draw(z):  # m null statistics, then one alternative
+        any_null = np.any(z[..., :m] >= z_crit, axis=-1)
+        return np.stack((any_null, z[..., m] + shift >= z_crit), axis=-1)
 
-    any_reject, power_hit = _replicate(seed, 1, np.zeros((reps, 2), bool), draw).sum(0)
+    out = _replicate(seed, 1, np.zeros((reps, 2), bool), m + 1, "standard_normal", draw)
+    any_reject, power_hit = out.sum(0)
     return (
         per_test,
         rate_estimate(int(any_reject), reps),

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from testlab import binomial_tail
 from testlab.cli import main
 from testlab.dist import parse_probability
 
@@ -79,6 +80,26 @@ def test_fisher_accepts_decimal_theta(capsys):
     row = csv_row(out)
     assert row["p_exact"] == "1/16"
     assert row["significant"] == "no"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_fisher_renders_each_exact_fraction_once(capsys, monkeypatch, fmt):
+    # output alone cannot show a second rendering; the count of calls can
+    from testlab import cli as cli_mod
+
+    rendered = []
+
+    def counting(value):
+        if isinstance(value, Fraction):
+            rendered.append(value)
+        return _render(value)
+
+    _render = cli_mod._render
+    monkeypatch.setattr(cli_mod, "_render", counting)
+    rc, out, _ = run_cli(capsys, "fisher", "--n", "82", "--k", "80", "--format", fmt)
+    assert rc == 0
+    tail = binomial_tail(82, 80, Fraction(1, 2))
+    assert sorted(rendered) == sorted([tail.p, tail.point_prob])
 
 
 def test_fisher_distribution_file_mode(capsys, tmp_path):
@@ -504,6 +525,25 @@ def _cli_runs(draw):
     return tuple(argv), files
 
 
+@st.composite
+def _valid_fisher_runs(draw):
+    """fisher argv with 1 <= n, 0 <= k <= n and theta in (0, 1): short
+    fractions, decimals of doubles and fractions whose denominators have
+    20 to 300 digits."""
+    long_denominator = st.integers(20, 300).flatmap(
+        lambda digits: st.integers(10 ** (digits - 1), 10**digits - 1))
+    theta = draw(st.one_of(
+        st.fractions(0, 1, max_denominator=1000).filter(lambda f: 0 < f < 1).map(str),
+        st.floats(1e-300, 1, exclude_max=True).map(repr),
+        long_denominator.flatmap(lambda b: st.integers(1, b - 1).map(lambda a: f"{a}/{b}")),
+    ))
+    digits = len(str(parse_probability(theta).denominator))
+    n = draw(st.integers(1, min(200, 20_000 // digits)))
+    return ("fisher", f"--n={n}", f"--k={draw(st.integers(0, n))}", f"--theta={theta}",
+            f"--level={draw(_IN_RANGE)}",
+            f"--direction={draw(st.sampled_from(['ge', 'le', 'abs']))}")
+
+
 def _binomial_tail_mp(n, k, theta, direction):
     with mpmath.workdps(40):
         theta = mpmath.mpf(theta.numerator) / theta.denominator
@@ -546,10 +586,24 @@ def test_cli_fuzz_exits_0_or_1_and_fisher_tails_match_mpmath(run):
     assert rc in (0, 1), err.getvalue()
     if rc == 1:
         assert err.getvalue().startswith("error: ")
-    if argv[0] != "fisher" or rc != 0:
-        return
+    if argv[0] == "fisher" and rc == 0:
+        _check_fisher_csv(argv, out.getvalue())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(argv=_valid_fisher_runs())
+def test_cli_fuzz_valid_fisher_runs_exit_0_and_match_mpmath(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([*argv, "--format=csv"])
+    assert rc == 0, err.getvalue()
+    _check_fisher_csv(argv, out.getvalue())
+
+
+def _check_fisher_csv(argv, out):
+    """The exact, float and log10 tails of a fisher CSV against mpmath."""
     flags = {"direction": "ge", **dict(arg[2:].split("=", 1) for arg in argv[1:])}
-    row = csv_row(out.getvalue())
+    row = csv_row(out)
     p_exact = Fraction(*map(int, map(decimal.Decimal, row["p_exact"].split("/"))))
     theta = parse_probability(flags["theta"])
     want = _binomial_tail_mp(int(flags["n"]), int(flags["k"]), theta, flags["direction"])

@@ -209,19 +209,35 @@ def same_start(gen, seed, i):
             == want.random(3).tolist() + want.normal(size=2).tolist())
 
 
+def rep_rng(seed, i):
+    """The generator seed._rep_rngs gives replication i alone."""
+    return next(seed._rep_rngs(range(i, i + 1)))
+
+
 @pytest.mark.parametrize("stream", [0, 1, 2**32 - 1, 2**32 + 5])
 def test_replication_reseed_matches_rng(stream):
     for root in _REP_ROOTS:
         seed = Seed(root, stream)
         for i in (0, 1, 1023, 1024, 2**32 - 1, 2**32, 2**40):
-            assert same_start(seed._rep_rng(i), seed, i), (root, i)
+            assert same_start(rep_rng(seed, i), seed, i), (root, i)
+        # one generator reset along a span of a block, and past 2**32
+        for span in (range(1024, 2048, 97), range(2**32, 2**32 + 5)):
+            for i, gen in zip(span, seed._rep_rngs(span), strict=True):
+                assert same_start(gen, seed, i), (root, i)
 
 
 def test_replication_reseed_with_seeds_and_blocks_alternating():
+    # spans of four seeds and three blocks, each advanced in turn: no span
+    # sees another's words or generator
     seeds = [Seed(5, 0), Seed(5, 1), Seed(6, 0), Seed(6, 1)]
-    for i in (3, 1027, 3, 2**20 + 3):
-        for seed in seeds + seeds[::-1]:
-            assert same_start(seed._rep_rng(i), seed, i), (seed, i)
+    spans = [range(3, 1024, 300), range(1027, 2048, 300), range(2**20 + 3, 2**20 + 1024, 300)]
+    live = [(seed, iter(span), seed._rep_rngs(span)) for seed in seeds for span in spans]
+    for _ in range(4):
+        for seed, indices, gens in live + live[::-1]:
+            i, gen = next(indices, None), next(gens, None)
+            assert (i is None) == (gen is None)
+            if i is not None:
+                assert same_start(gen, seed, i), (seed, i)
 
 
 def test_replication_reseed_per_thread():
@@ -233,23 +249,22 @@ def test_replication_reseed_per_thread():
 
     def worker(name, indices):
         ok = []
-        for i in indices:
-            gen = seed._rep_rng(i)
+        for i, gen in zip(indices, seed._rep_rngs(indices)):
             barrier.wait()
             ok.append(same_start(gen, seed, i))
             barrier.wait()
         results[name] = ok
 
     threads = [
-        threading.Thread(target=worker, args=("a", range(0, 5 * 1024, 1024))),
-        threading.Thread(target=worker, args=("b", range(5 * 1024 + 1, 10 * 1024, 1024))),
+        threading.Thread(target=worker, args=("a", range(0, 1024, 200))),
+        threading.Thread(target=worker, args=("b", range(5 * 1024 + 1, 6 * 1024, 200))),
     ]
     for t in threads:
         t.start()
     for t in threads:
         t.join(timeout=30)
     assert not any(t.is_alive() for t in threads)
-    assert results == {"a": [True] * 5, "b": [True] * 5}
+    assert results == {"a": [True] * 6, "b": [True] * 6}
 
 
 def test_replication_reseed_under_thread_switching():
@@ -257,9 +272,11 @@ def test_replication_reseed_under_thread_switching():
     failures = []
 
     def worker(lo):
-        for i in range(lo, 4096, 4):
-            if not same_start(seed._rep_rng(i), seed, i):
-                failures.append(i)
+        for block in range(4):
+            span = range(block * 1024 + lo, (block + 1) * 1024, 4)
+            for i, gen in zip(span, seed._rep_rngs(span)):
+                if not same_start(gen, seed, i):
+                    failures.append(i)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

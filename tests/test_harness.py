@@ -155,7 +155,8 @@ _EXPERIMENTS = {
 
 @pytest.mark.parametrize("name", sorted(_EXPERIMENTS))
 def test_every_replication_runs_through_one_for_each_rep_call(monkeypatch, name):
-    # perfbench's tracer rebinds harness._for_each_rep the same way
+    # perfbench's tracer rebinds harness._for_each_rep the same way; its body
+    # takes one chunk's span of replications, flattened here
     calls = []
     original = harness._for_each_rep
 
@@ -163,9 +164,9 @@ def test_every_replication_runs_through_one_for_each_rep_call(monkeypatch, name)
         seen = []
         calls.append((reps, seen))
 
-        def counted(i):
-            seen.append(i)
-            return body(i)
+        def counted(span):
+            seen.extend(span)
+            return body(span)
 
         return original(reps, workers, counted)
 
@@ -192,6 +193,83 @@ def test_per_replication_verdicts_do_not_depend_on_the_worker_count(name):
     threaded = run_scenario(_ORDERED[name](), workers=2).verdicts
     assert len(serial) == 1100 and len(set(serial)) > 1
     assert serial == threaded
+
+
+def _replicated(run, workers):
+    """The arguments of every harness._replicate call run() makes, each with
+    its output array as filled at the given worker count."""
+    calls = []
+    original = harness._replicate
+
+    def capture(seed, _workers, out, width, fill, reduce):
+        original(seed, workers, out, width, fill, reduce)
+        calls.append((out.copy(), seed, width, fill, reduce))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_replicate", capture)
+        run()
+    return calls
+
+
+_OS_FULL = {"alpha": "0.2", "looks": "10 20 40"}
+_BLOCKED = {
+    "lr-horizon": _scenario("lr", 1025, {"horizon": "20"}, truth="K"),
+    "lr-n": _scenario("lr", 1025, {"n": "20"}),
+    "bayes": _scenario("bayes", 1025, {"n": "20"}),
+    "map": _scenario("map", 1025, {"n": "20"}, truth="K"),
+    "np": _scenario("np", 1025, {"n": "4"}, gaussian=GaussianPair(0.0, 0.5, 1.0)),
+    "hoeffding": _scenario("hoeffding", 1025, {"n": "20"}, truth="K"),
+    "optional-stopping-gaussian": _scenario(
+        "optional-stopping", 1025, _OS_FULL, gaussian=GaussianPair(0, 0, 1)
+    ),
+    "optional-stopping-finite": _scenario("optional-stopping", 1025, _OS_FULL),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCKED) + ["family-wise-error"])
+def test_replication_order_does_not_depend_on_blocks_or_workers(monkeypatch, name):
+    # 1 025 replications leave a trailing one-replication chunk. Blocks of
+    # many rows at 2 workers must fill out exactly as one-row blocks at 1
+    # worker, and slot i must hold what replication i's own generator gives
+    if name == "family-wise-error":
+        run = lambda: family_wise_error(5, 0.2, "bonferroni", 1025, Seed(7))  # noqa: E731
+    else:
+        run = lambda: run_scenario(_BLOCKED[name])  # noqa: E731
+    [(blocked, seed, width, fill, reduce)] = _replicated(run, workers=2)
+    monkeypatch.setattr(harness, "_CELLS", 1)
+    [(single, *_)] = _replicated(run, workers=1)
+    assert len(blocked) == 1025 and len(np.unique(blocked.reshape(1025, -1), axis=0)) > 1
+    assert np.array_equal(blocked, single)
+    row = np.empty(width)
+    for i in range(1025):
+        getattr(seed.rng(i), fill)(out=row)
+        assert np.array_equal(single[i], reduce(row)), i
+
+
+@pytest.mark.parametrize("k", [8, 12])
+def test_block_divergence_sums_each_row_as_its_nonzero_terms_alone(k):
+    rng = np.random.default_rng(k)
+    h = 1.0 + rng.random(k)
+    h /= h.sum()
+    log_h = np.log(h)
+    n = 3 * k  # some rows miss a symbol, the rest show every one
+    counts = rng.multinomial(n, h, size=3000)
+    assert 500 < (counts == 0).any(axis=1).sum() < 2500
+    got = harness._divergences(counts, n, log_h)
+    for row, d in zip(counts, got):
+        seen = row > 0
+        freqs = row[seen] / n
+        want = np.sum(freqs * (np.log(freqs) - log_h[seen]))
+        assert float(d).hex() == float(want).hex(), row
+
+
+def test_hoeffding_truth_needs_the_hypothesis_alphabet():
+    k = bernoulli(Fraction(3, 4), labels=("a", "c"))
+    scenario = Scenario(name="mismatch", paradigm="hoeffding", truth="K", reps=5,
+                        seed=Seed(7), h=H_FAIR, k=k, params={"n": "10"})
+    with pytest.raises(ScenarioError, match="alphabets differ"):
+        run_scenario(scenario)
 
 
 def test_an_exact_fisher_scenario_replicates_nothing(monkeypatch):
