@@ -11,10 +11,11 @@ replications are split across workers.
 
 from __future__ import annotations
 
+import ctypes
 import decimal
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -39,8 +40,11 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = 2**32 - 1, 2**128 - 1
+_M32 = 2**32 - 1
 _BLOCK = 1024  # replication indices hashed per numpy pass
+# uint64 scalars, so that no mixed operation promotes a limb to float64
+_U1, _U32, _U63, _LO32 = map(np.uint64, (1, 32, 63, _M32))
+_MULT_LO, _MULT_HI = np.uint64(_PCG_MULT & 2**64 - 1), np.uint64(_PCG_MULT >> 64)
 
 
 def parse_probability(text: str) -> Fraction:
@@ -317,7 +321,8 @@ class Seed:
     call order, which is what makes chunked Monte Carlo runs merge-safe.
     Monte Carlo replications draw what ``rng(i)`` would from one generator
     per chunk of replications, reseeded by ``_rep_rngs`` instead of built
-    anew.
+    anew: the chunk's seed words and PCG64 states are computed in numpy,
+    and each replication writes its state into the generator's memory.
     """
 
     root: int
@@ -376,25 +381,92 @@ class Seed:
     def _rep_rngs(self, span: range):
         """For each i of span, one generator set to the state ``rng(i)``
         starts in, valid until the next is yielded. span lies within one
-        block of _BLOCK indices, whose words are hashed once."""
-        if span.stop > 2**32:  # a two-word spawn key: not what blocks hash
+        block of _BLOCK indices, whose seed words and PCG64 states are
+        computed once, in numpy. Each replication then copies its state and
+        inc words into the generator's pcg64_random_t and clears the 32-bit
+        draw it may have cached, as the ``state`` setter would, through
+        views of the generator's memory. Spans past 2**32, whose spawn key
+        takes two words, and a numpy whose PCG64 layout does not read back
+        (see _pcg_word_order) build each generator with ``rng(i)``."""
+        order = _pcg_word_order()
+        if order is None or span.stop > 2**32:
             yield from map(self.rng, span)
             return
-        words = self._block_words(span.start // _BLOCK).tolist()
+        block = span.start // _BLOCK
+        states = _pcg_seed_states(*self._block_words(block).T)[:, order]
         gen = np.random.Generator(np.random.PCG64(0))
-        for i in span:
-            a, b, c, e = words[i % _BLOCK]
-            # PCG64's seeding: inc from (c, e), then two steps from state 0
-            # with the seed (a, b) added between them
-            inc = ((c << 64 | e) << 1 | 1) & _M128
-            state = (((a << 64 | b) + inc) * _PCG_MULT + inc) & _M128
-            gen.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+        words, flags = _pcg_views(gen.bit_generator)
+        lo = block * _BLOCK
+        for row in states[span.start - lo : span.stop - lo : span.step]:
+            words[...] = row
+            flags[0] = 0
             yield gen
+
+
+def _mulhi(x, y):
+    """The high 64 bits of each 128-bit product x * y of uint64s, summed
+    from 32-bit halves so that no partial sum overflows."""
+    x0, x1, y0, y1 = x & _LO32, x >> _U32, y & _LO32, y >> _U32
+    t = x0 * y0
+    u = x1 * y0 + (t >> _U32)
+    v = x0 * y1 + (u & _LO32)
+    return x1 * y1 + (u >> _U32) + (v >> _U32)
+
+
+def _pcg_seed_states(a, b, c, e):
+    """PCG64's seeding step from the uint64 words (a, b, c, e) that
+    SeedSequence generates, elementwise in 64-bit limbs: inc = (c:e) << 1 | 1,
+    then two steps from state 0 with the seed (a:b) added between them,
+    state = ((a:b) + inc) * _PCG_MULT + inc mod 2**128. A sum carries when
+    its low word wraps below an addend. One row per element: state low,
+    state high, inc low, inc high."""
+    inc_lo, inc_hi = e << _U1 | _U1, c << _U1 | e >> _U63
+    lo = b + inc_lo
+    hi = a + inc_hi + (lo < b)
+    hi = hi * _MULT_LO + lo * _MULT_HI + _mulhi(lo, _MULT_LO)
+    lo = lo * _MULT_LO
+    state_lo = lo + inc_lo
+    state_hi = hi + inc_hi + (state_lo < lo)
+    return np.stack((state_lo, state_hi, inc_lo, inc_hi), axis=-1)
+
+
+def _pcg_views(bit_generator):
+    """uint64 views of a PCG64's memory: the four words of the
+    pcg64_random_t (state, then inc) that the pcg64_state at
+    ``ctypes.state_address`` points to, and the word after that pointer,
+    which holds has_uint32 and uinteger."""
+    address = bit_generator.ctypes.state_address
+    pcg = ctypes.c_void_p.from_address(address).value
+    words = (ctypes.c_uint64 * 4).from_address(pcg)
+    flags = (ctypes.c_uint64 * 1).from_address(address + ctypes.sizeof(ctypes.c_void_p))
+    return np.frombuffer(words, np.uint64), np.frombuffer(flags, np.uint64)
+
+
+@cache
+def _pcg_word_order():
+    """The order of _pcg_seed_states' columns in PCG64's memory, found once
+    per process: each 128-bit word is stored low, high with __uint128_t, and
+    high, low in numpy's emulated struct (MSVC). Known words are written
+    over a generator with a cached 32-bit draw and read back through
+    ``state``; None when neither order reads back with the draw cleared."""
+    bit_generator = np.random.PCG64(0)
+    words, flags = _pcg_views(bit_generator)
+    state, inc = 0x0123456789ABCDEF_FEDCBA9876543210, 0x1122334455667788_99AABBCCDDEEFF01
+    limbs = (state & 2**64 - 1, state >> 64, inc & 2**64 - 1, inc >> 64)
+    want = {"state": state, "inc": inc}
+    for order in ((0, 1, 2, 3), (1, 0, 3, 2)):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": 1, "inc": 1},
+            "has_uint32": 1,
+            "uinteger": 7,
+        }
+        words[...] = np.array(limbs, np.uint64)[list(order)]
+        flags[0] = 0
+        got = bit_generator.state
+        if (got["state"], got["has_uint32"], got["uinteger"]) == (want, 0, 0):
+            return order
+    return None
 
 
 def _step_indices(d: FiniteDistribution, u: np.ndarray) -> np.ndarray:

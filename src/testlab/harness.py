@@ -433,7 +433,7 @@ def _sum_log_lr(truth, table, n, reps, seed, workers):
 def _tally(report, decide_k, truth=None):
     """Record per-replication K/H decisions, and the error rate given the truth."""
     count, reps = int(decide_k.sum()), len(decide_k)
-    report.verdicts = tuple("K" if d else "H" for d in decide_k)
+    report.verdicts = tuple(np.where(decide_k, "K", "H").tolist())
     report.verdict_counts["decide_k"] = count
     report.verdict_counts["decide_h"] = reps - count
     report.rates["decide_k_rate"] = rate_estimate(count, reps)
@@ -521,7 +521,7 @@ def _run_hoeffding(scenario, report, workers):
     rejected = np.zeros(reps, dtype=bool)
     _replicate(scenario.seed, workers, rejected, n, "random", rejects)
     count = int(rejected.sum())
-    report.verdicts = tuple("reject_h" if r else "accept_h" for r in rejected)
+    report.verdicts = tuple(np.where(rejected, "reject_h", "accept_h").tolist())
     report.verdict_counts["reject_h"] = count
     report.verdict_counts["accept_h"] = reps - count
     report.rates["reject_rate"] = rate_estimate(count, reps)
@@ -650,7 +650,7 @@ def run(scenario: Scenario, workers: int = 1) -> SimulationReport:
 
     Deterministic given (scenario, seed): rerunning, or running with a
     different worker count, yields byte-identical CSV apart from the
-    wall-clock row.
+    wall-clock row. A scenario too large for memory is a ScenarioError.
     """
     if workers < 1:
         raise InputError(f"workers must be at least 1, got {workers!r}")
@@ -673,6 +673,11 @@ def run(scenario: Scenario, workers: int = 1) -> SimulationReport:
         raise
     except TestlabError as exc:
         raise ScenarioError(f"scenario {scenario.name}: {exc}") from exc
+    except MemoryError as exc:
+        raise ScenarioError(
+            f"scenario {scenario.name}: its reps or sizes need more memory "
+            "than is available"
+        ) from exc
     report.wall_clock = time.perf_counter() - started
     return report
 

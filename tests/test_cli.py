@@ -382,6 +382,22 @@ def test_simulate_rejects_out_of_range_params(capsys, tmp_path, paradigm, params
     assert repr(key) in err
 
 
+@pytest.mark.parametrize("reps, n", [(10**15, 4), (1, 10**15)])
+def test_simulate_too_large_for_memory_exits_1(capsys, tmp_path, reps, n):
+    # both sizes lie past a 47-bit address space: the allocation is refused
+    # at once, and nothing is allocated
+    scenario = tmp_path / "s.scenario"
+    scenario.write_text(
+        f"[scenario]\nname = huge\nparadigm = np\nreps = {reps}\n\n"
+        "[gaussian]\nmu-h = 0\nmu-k = 0.5\nsigma = 1\n\n"
+        f"[params]\nn = {n}\n"
+    )
+    rc, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert rc == 1
+    assert out == ""
+    assert "scenario huge: its reps or sizes need more memory than is available" in err
+
+
 # --- exit codes -------------------------------------------------------------------
 
 

@@ -1,11 +1,14 @@
 import decimal
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -30,7 +33,8 @@ from testlab.errors import (
     InputError,
     UnknownSymbolError,
 )
-from testlab.dist import _finite_indices, parse_probability
+from testlab import dist
+from testlab.dist import _PCG_MULT, _finite_indices, parse_probability
 
 from helpers import bernoulli, random_rational_dist, total_variation
 
@@ -290,6 +294,76 @@ def test_replication_reseed_under_thread_switching():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
+
+
+_WORD = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]),
+)
+
+
+@given(st.lists(st.tuples(_WORD, _WORD, _WORD, _WORD), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_pcg_seed_limbs_equal_the_128_bit_formula(rows):
+    # every carry at once: b + inc_lo wraps, e's top bit moves into inc_hi
+    rows = rows + [(2**64 - 1,) * 4, (0, 2**64 - 1, 0, 2**63), (2**64 - 1, 2**64 - 1, 0, 2**64 - 1)]
+    a, b, c, e = np.array(rows, dtype=np.uint64).T
+    got = dist._pcg_seed_states(a, b, c, e).tolist()
+    for (a, b, c, e), (state_lo, state_hi, inc_lo, inc_hi) in zip(rows, got, strict=True):
+        inc = ((c << 64 | e) << 1 | 1) % 2**128
+        state = (((a << 64 | b) + inc) * _PCG_MULT + inc) % 2**128
+        assert (state_hi << 64 | state_lo, inc_hi << 64 | inc_lo) == (state, inc)
+
+
+def test_replication_reseed_clears_a_cached_32_bit_draw():
+    # an odd count of uint32 draws leaves half a 64-bit output cached in
+    # has_uint32 and uinteger, which the next replication must not see
+    seed = Seed(2024, 3)
+    span = range(5, 40, 7)
+    for i, gen in zip(span, seed._rep_rngs(span), strict=True):
+        assert gen.bit_generator.state == seed.rng(i).bit_generator.state, i
+        gen.integers(0, 2**32, size=3, dtype=np.uint32)
+        assert gen.bit_generator.state["has_uint32"] == 1
+
+
+def test_replication_reseed_falls_back_to_rng_when_the_layout_does_not_read_back(
+    monkeypatch,
+):
+    monkeypatch.setattr(dist, "_pcg_word_order", lambda: None)
+    seed = Seed(99, 4)
+    span = range(1024, 2048, 97)
+    for i, gen in zip(span, seed._rep_rngs(span), strict=True):
+        assert same_start(gen, seed, i), i
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="__uint128_t layout")
+def test_replication_reseed_writes_the_state_in_place_on_linux(monkeypatch):
+    seed = Seed(8, 1)
+    span = range(3, 1024, 170)
+    want = [seed.rng(i).bit_generator.state for i in span]
+
+    def no_rng(self, *path):
+        raise AssertionError("the reseed built a generator")
+
+    assert dist._pcg_word_order() is not None
+    monkeypatch.setattr(Seed, "rng", no_rng)
+    assert [gen.bit_generator.state for gen in seed._rep_rngs(span)] == want
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random costs every process megabytes of resident memory; the
+    # reseed's layout probe runs on first use, not at import
+    code = (
+        "import sys, testlab.cli; "
+        "print(sorted({'numpy.random', 'numpy.ctypeslib'} & set(sys.modules)))"
+    )
+    src = str(Path(dist.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_point_mass_sampling():
