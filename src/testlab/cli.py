@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
+import re
 import sys
 
 from . import __version__, evidential, fisher, harness, info_geometry, neyman_pearson
@@ -32,6 +34,12 @@ class _CliInputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own matcher misses exponents, so `--mu-h -1e-3` would
+        # read -1e-3 as an option; subparsers are built as _Parser too
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits 2 on usage errors; our contract reserves 2 for bugs
     def error(self, message):
         raise _CliInputError(message)
@@ -357,8 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main() call, not at import, and shared after it: parsing
+# writes nothing to the parser, and each call gets a fresh Namespace
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; safe to call repeatedly and from several threads."""
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -85,7 +85,7 @@ class Priors:
         total = pi_h + pi_k
         if isinstance(pi_h, Fraction) and isinstance(pi_k, Fraction):
             if total != 1:
-                raise InputError(f"priors sum to {total}, not 1")
+                raise InputError(f"priors sum to {_show(total)}, not 1")
         elif abs(float(total) - 1.0) > 1e-12:
             raise InputError(f"priors sum to {total!r}, not 1")
         object.__setattr__(self, "pi_h", pi_h)

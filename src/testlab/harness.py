@@ -129,6 +129,9 @@ class SimulationReport:
     trajectory: dict = field(default_factory=dict)
     wall_clock: float = 0.0
     verdicts: Optional[tuple] = None  # per-replication, kept out of the CSV
+    # sha256 of each _replicate output, in call order, kept out of the CSV;
+    # unlike the CSV's sums it changes when replications change places
+    replication_digests: tuple = ()
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -299,7 +302,7 @@ def _for_each_rep(reps: int, workers: int, body) -> None:
             list(pool.map(body, spans))
 
 
-def _replicate(seed, workers, out, width, fill, reduce):
+def _replicate(seed, workers, out, width, fill, reduce, report=None):
     """out[i] = replication i's result for every slot of out.
 
     Replication i draws width values into one row of a block with the
@@ -310,7 +313,8 @@ def _replicate(seed, workers, out, width, fill, reduce):
     axis; a block of one row reaches it as that row, 1-D, since numpy's
     2-D accumulate holds the GIL and its 2-D calls cost more per call than
     one long row saves. Chunks run through the module global
-    ``_for_each_rep``, so rebinding it sees each chunk.
+    ``_for_each_rep``, so rebinding it sees each chunk. A report given
+    gets the sha256 of the filled out appended to its replication_digests.
     """
     rows = max(1, _CELLS // max(width, 1))
     fill = getattr(np.random.Generator, fill)
@@ -325,6 +329,10 @@ def _replicate(seed, workers, out, width, fill, reduce):
             out[lo : lo + len(part)] = reduce(part if len(part) > 1 else part[0])
 
     _for_each_rep(len(out), workers, body)
+    if report is not None:
+        import hashlib  # here, not at the top: loading OpenSSL slows every CLI start
+
+        report.replication_digests += (hashlib.sha256(out.tobytes()).hexdigest(),)
     return out
 
 
@@ -390,7 +398,7 @@ def _run_lr(scenario, report, workers):
             return np.cumsum(steps, axis=-1).max(axis=-1) >= log_s
 
         crossed = np.zeros(reps, dtype=bool)
-        _replicate(seed, workers, crossed, horizon, "random", crosses)
+        _replicate(seed, workers, crossed, horizon, "random", crosses, report)
         report.rates["crossing_rate"] = rate_estimate(int(crossed.sum()), reps)
         return
 
@@ -402,7 +410,8 @@ def _run_lr(scenario, report, workers):
     def path(u):
         return np.cumsum(table.take(_step_indices(truth, u)), axis=-1)[..., marks]
 
-    rows = _replicate(seed, workers, np.empty((reps, len(marks))), n, "random", path)
+    rows = np.empty((reps, len(marks)))
+    _replicate(seed, workers, rows, n, "random", path, report)
     sums, traj = rows[:, -1], rows[:, :-1]
 
     verdicts = np.where(
@@ -421,13 +430,13 @@ def _run_lr(scenario, report, workers):
             )
 
 
-def _sum_log_lr(truth, table, n, reps, seed, workers):
+def _sum_log_lr(truth, table, n, reps, seed, workers, report=None):
     """ln r_n of n draws from truth per replication; table[j] = ln P_K/P_H."""
 
     def sums(u):
         return table.take(_step_indices(truth, u)).sum(axis=-1)
 
-    return _replicate(seed, workers, np.empty(reps), n, "random", sums)
+    return _replicate(seed, workers, np.empty(reps), n, "random", sums, report)
 
 
 def _tally(report, decide_k, truth=None):
@@ -451,7 +460,7 @@ def _log_posterior_odds(scenario, report, workers):
     report.values["n"] = n
     report.values["prior_h"] = prior_h
     truth, table = _truth_dist(scenario), log_ratio_table(h, k)
-    sums = _sum_log_lr(truth, table, n, scenario.reps, scenario.seed, workers)
+    sums = _sum_log_lr(truth, table, n, scenario.reps, scenario.seed, workers, report)
     return sums + priors.log_odds
 
 
@@ -487,7 +496,7 @@ def _run_np(scenario, report, workers):
         return (mu + pair.sigma * z).mean(axis=-1) >= rule.cutoff
 
     decide_k = np.zeros(scenario.reps, dtype=bool)
-    _replicate(scenario.seed, workers, decide_k, n, "standard_normal", decide)
+    _replicate(scenario.seed, workers, decide_k, n, "standard_normal", decide, report)
     _tally(report, decide_k, scenario.truth)
 
 
@@ -519,7 +528,7 @@ def _run_hoeffding(scenario, report, workers):
         return (_divergences(counts, n, log_h) > radius).reshape(u.shape[:-1])
 
     rejected = np.zeros(reps, dtype=bool)
-    _replicate(scenario.seed, workers, rejected, n, "random", rejects)
+    _replicate(scenario.seed, workers, rejected, n, "random", rejects, report)
     count = int(rejected.sum())
     report.verdicts = tuple(np.where(rejected, "reject_h", "accept_h").tolist())
     report.verdict_counts["reject_h"] = count
@@ -628,7 +637,8 @@ def _run_optional_stopping(scenario, report, workers):
         return np.stack((rejected, prefix_max[..., marks] >= log_s), axis=-2)
 
     out = np.zeros((scenario.reps, 2, len(looks)), dtype=bool)
-    hits = _replicate(scenario.seed, workers, out, horizon, fill, monitor).sum(axis=0)
+    _replicate(scenario.seed, workers, out, horizon, fill, monitor, report)
+    hits = out.sum(axis=0)
     for name, counts in zip(("cumulative_reject", "lr_crossed"), hits):
         for n_j, count in zip(looks, counts):
             report.rates[f"{name}@{n_j}"] = rate_estimate(int(count), scenario.reps)

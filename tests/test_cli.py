@@ -2,7 +2,12 @@ import contextlib
 import csv
 import decimal
 import io
+import os
+import subprocess
+import sys
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +16,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import testlab.cli as cli
 from testlab import binomial_tail
 from testlab.cli import main
 from testlab.dist import parse_probability
@@ -445,6 +451,200 @@ def test_internal_error_exits_2(capsys, monkeypatch, tmp_path):
     rc, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
     assert rc == 2
     assert "internal error" in err
+
+
+# --- negative numbers in exponent form ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, rc",
+    [
+        (["np", "--mu-h", "-1e-3", "--mu-k", "1", "--n", "4"], 0),
+        (["np", "--mu-h", "0", "--mu-k", "-1E2", "--n", "4"], 1),
+        (["np", "--mu-h", "-.5e1", "--mu-k", "-2.e+0", "--n", "4"], 0),
+        (["lr", "--h-dist", "@h", "--k-dist", "@k", "--data", "@data", "-s", "-1e3"], 1),
+        (["power", "--alpha", "0.05", "--beta", "0.2", "--eta", "-1e-1"], 1),
+    ],
+)
+def test_negative_exponent_value_parses_as_a_separate_argument(capsys, dist_files, argv, rc):
+    # each value must read as it does when joined to its flag with '='
+    paths = dict(zip(("@h", "@k", "@data"), map(str, dist_files)))
+    argv = [paths.get(arg, arg) for arg in argv]
+    joined = []
+    for arg in argv:
+        if arg[:1] == "-" and (arg[1:2].isdigit() or arg[1:2] == "."):
+            joined[-1] += f"={arg}"
+        else:
+            joined.append(arg)
+    separate = run_cli(capsys, *argv)
+    assert separate == run_cli(capsys, *joined)
+    assert separate[0] == rc
+    assert "expected one argument" not in separate[2]
+
+
+# --- one parser per process -----------------------------------------------------
+
+
+def _valid_runs(files, out_dir):
+    """A valid argv for each subcommand but simulate; every other one writes --out."""
+    h, k, data = map(str, files)
+    pair = ["--h-dist", h, "--k-dist", k]
+    runs = [
+        ["fisher", "--n", "82", "--k", "80", "--level", "0.01"],
+        ["fisher", "--n", "30", "--k", "3", "--theta", "1/3", "--direction", "le"],
+        ["lr", *pair, "--data", data, "-s", "2"],
+        ["bayes", *pair, "--data", data, "--prior-h", "1/3"],
+        ["np", "--mu-h", "0", "--mu-k", "1", "--n", "9", "--alpha", "0.01"],
+        ["power", "--alpha", "0.05", "--beta", "0.2", "--eta", "0.5"],
+        ["kl", h, k],
+        ["map", *pair, "--prior-h", "0.3", data],
+        ["hoeffding", "--hypothesis", h, "--delta", "0.1", data],
+    ]
+    runs += [argv + ["--format", "csv"] for argv in runs]
+    for i, argv in enumerate(runs[1::2]):
+        argv += ["--out", str(out_dir / f"{i}.txt")]
+    return runs
+
+
+def _outputs(runs):
+    """(exit code, stdout, --out file text) of each run in turn, main called in
+    this thread; stdout must be routed per thread by the caller."""
+    got = []
+    for argv in runs:
+        rc = main(list(argv))
+        out = Path(argv[-1]).read_text() if "--out" in argv else None
+        got.append((rc, sys.stdout.take(), out))
+    return got
+
+
+class _ThreadStdout:
+    """A stdout whose writes are kept apart per thread."""
+
+    def __init__(self):
+        self._local = threading.local()
+
+    def write(self, text):
+        self._local.text = getattr(self._local, "text", "") + text
+        return len(text)
+
+    def take(self):
+        text, self._local.text = getattr(self._local, "text", ""), ""
+        return text
+
+
+def test_importing_the_cli_builds_no_parser_and_loads_no_hashlib():
+    # either would add milliseconds to every process start; the parser is
+    # built on the first main() call, hashlib loaded by the first replication
+    code = (
+        "import sys, testlab.cli as cli; "
+        "print(cli._shared_parser.cache_info().currsize, 'hashlib' in sys.modules)"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch, dist_files, tmp_path):
+    assert run_cli(capsys, "kl", *map(str, dist_files[:2]))[0] == 0  # built here
+    built = []
+    original = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    monkeypatch.setattr(sys, "stdout", _ThreadStdout())
+    assert {rc for rc, _, _ in _outputs(_valid_runs(dist_files, tmp_path))} == {0}
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "first, second, key, want",
+    [
+        (["fisher", "--n", "4", "--k", "2", "--level", "0.01"],
+         ["fisher", "--n", "4", "--k", "2"], "level", "0.05"),
+        (["lr", "@pair", "-s", "16"], ["lr", "@pair"], "s", "8"),
+        (["np", "--mu-h", "0", "--mu-k", "1", "--n", "4", "--alpha", "0.01"],
+         ["np", "--mu-h", "0", "--mu-k", "1", "--n", "4"], "rule", "midpoint"),
+        (["hoeffding", "--hypothesis", "@h", "--delta", "0.2", "@data"],
+         ["hoeffding", "--hypothesis", "@h", "@data"], "delta", "0.05"),
+    ],
+)
+def test_defaults_do_not_leak_between_calls(capsys, dist_files, first, second, key, want):
+    h, k, data = map(str, dist_files)
+    swap = {"@pair": ["--h-dist", h, "--k-dist", k, "--data", data], "@h": [h], "@data": [data]}
+
+    def expand(argv):
+        return [part for arg in argv for part in swap.get(arg, [arg])] + ["--format", "csv"]
+
+    assert run_cli(capsys, *expand(first))[0] == 0
+    rc, out, _ = run_cli(capsys, *expand(second))
+    assert rc == 0
+    assert csv_row(out)[key] == want
+
+
+@pytest.mark.parametrize(
+    "disrupt, code",
+    [
+        (["fisher", "--direction", "sideways", "--n", "4", "--k", "2"], 1),  # bad choice
+        (["lr", "-s", "16", "--bogus"], 1),  # usage error after a parsed value
+        (["power", "--alpha", "0.05"], 1),
+        (["np", "--mu-h", "0", "--mu-k", "nan", "--n", "4"], 1),  # TestlabError
+        (["frequentism"], 1),
+        (["--version"], SystemExit),
+        (["--help"], SystemExit),
+        (["fisher", "--help"], SystemExit),
+    ],
+)
+def test_a_failed_or_exiting_call_leaves_the_next_one_unchanged(capsys, dist_files, disrupt, code):
+    h, k, data = map(str, dist_files)
+    valid = [
+        ["fisher", "--n", "82", "--k", "80", "--format", "csv"],
+        ["lr", "--h-dist", h, "--k-dist", k, "--data", data],
+        ["np", "--mu-h", "0", "--mu-k", "1", "--n", "4"],
+    ]
+    before = [run_cli(capsys, *argv) for argv in valid]
+    assert {rc for rc, _, _ in before} == {0}
+    if code is SystemExit:
+        with pytest.raises(SystemExit) as exit_info:
+            main(disrupt)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out
+    else:
+        assert run_cli(capsys, *disrupt)[0] == code
+    assert [run_cli(capsys, *argv) for argv in valid] == before
+
+
+def test_threads_sharing_the_parser_print_what_one_thread_prints(monkeypatch, dist_files, tmp_path):
+    # every call parses with the one shared parser, built by the serial run;
+    # a short switch interval makes the threads interleave inside argparse
+    rounds, threads = 50, 3
+    monkeypatch.setattr(sys, "stdout", _ThreadStdout())
+    (tmp_path / "serial").mkdir()
+    want = _outputs(_valid_runs(dist_files, tmp_path / "serial"))
+    assert {rc for rc, _, _ in want} == {0}
+
+    def worker(t):
+        out_dir = tmp_path / f"thread{t}"
+        out_dir.mkdir()
+        runs = _valid_runs(dist_files, out_dir)
+        return [_outputs(runs) for _ in range(rounds)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(worker, t) for t in range(threads)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert got == [want] * rounds
 
 
 # --- fuzz: generated inputs never exit 2 -------------------------------------------

@@ -354,6 +354,12 @@ def test_priors_validation():
     assert Priors(Fraction(1, 3)).pi_k == Fraction(2, 3)
 
 
+def test_priors_sum_past_4300_digits_is_an_input_error():
+    # str() of its 5 000-digit denominator would raise a bare ValueError
+    with pytest.raises(InputError, match=r"priors sum to 1000\d{4990}"):
+        Priors(Fraction(1, 10**5000), Fraction(1, 3))
+
+
 # --- the crossing bound ---------------------------------------------------------------
 
 

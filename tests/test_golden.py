@@ -4,7 +4,9 @@ Each paper-suite scenario, with its replications capped so that it spans
 two replication chunks, plus inline bayes, map and finite-alphabet
 optional-stopping scenarios that the paper suite does not exercise, must
 reproduce the committed CSV in tests/golden/ at 1 and 2 workers. The
-wall-clock row is the one row left out.
+wall-clock row is the one row left out. The sha256 of each per-replication
+result array, which sees the order the CSV's sums hide, must also be the
+same at both worker counts.
 
 Run ``PYTHONPATH=src python tests/test_golden.py`` from the repository root to rewrite
 the fixtures after an intended change of output.
@@ -62,23 +64,25 @@ def scenarios():
     return out + _inline_scenarios()
 
 
-def csv_body(scenario, workers):
-    text = run_scenario(scenario, workers=workers).to_csv()
+def csv_body(report):
     return "".join(
-        line + "\n" for line in text.splitlines() if ",wall_clock_s," not in line
+        line + "\n" for line in report.to_csv().splitlines() if ",wall_clock_s," not in line
     )
 
 
 @pytest.mark.parametrize("scenario", scenarios(), ids=lambda s: s.name)
 def test_simulation_matches_golden_csv(scenario):
     expected = (GOLDEN / f"{scenario.name}.csv").read_text(encoding="utf-8")
-    for workers in (1, 2):
-        assert csv_body(scenario, workers) == expected, f"workers={workers}"
+    serial, threaded = (run_scenario(scenario, workers=w) for w in (1, 2))
+    for workers, report in ((1, serial), (2, threaded)):
+        assert csv_body(report) == expected, f"workers={workers}"
+    assert serial.replication_digests == threaded.replication_digests
+    assert len(serial.replication_digests) == (scenario.paradigm != "fisher")
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for scenario in scenarios():
         (GOLDEN / f"{scenario.name}.csv").write_text(
-            csv_body(scenario, 1), encoding="utf-8"
+            csv_body(run_scenario(scenario, workers=1)), encoding="utf-8"
         )

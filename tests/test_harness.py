@@ -201,8 +201,8 @@ def _replicated(run, workers):
     calls = []
     original = harness._replicate
 
-    def capture(seed, _workers, out, width, fill, reduce):
-        original(seed, workers, out, width, fill, reduce)
+    def capture(seed, _workers, out, width, fill, reduce, report=None):
+        original(seed, workers, out, width, fill, reduce, report)
         calls.append((out.copy(), seed, width, fill, reduce))
         return out
 

@@ -2,9 +2,10 @@
 
 Each scenario runs in-process at both worker counts. For each run the
 script prints one sha256, over the simulate CSV without its wall-clock row
-and, when the runner keeps them, the per-replication verdicts, which also
-see the order of replications. It exits 1 when a scenario's two digests
-differ. From the root of a source checkout:
+and the sha256 of each per-replication result array the run filled
+(``SimulationReport.replication_digests``), which also sees the order of
+replications. It exits 1 when a scenario's two digests differ. From the
+root of a source checkout:
 
     PYTHONPATH=src python tools/suite_digest.py [SUITE_DIR]
 
@@ -29,8 +30,8 @@ def digest(report) -> str:
         if ",wall_clock_s," not in line
     )
     h = hashlib.sha256(csv.encode())
-    if report.verdicts is not None:
-        h.update("\n".join(report.verdicts).encode())
+    for array_digest in report.replication_digests:
+        h.update(array_digest.encode())
     return h.hexdigest()
 
 
