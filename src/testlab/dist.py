@@ -14,6 +14,7 @@ from __future__ import annotations
 import ctypes
 import decimal
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
@@ -101,13 +102,16 @@ def log_probability(p: Probability) -> float:
     Fractions are split into numerator and denominator so values far below
     the double underflow threshold still get a finite log.
     """
+    if isinstance(p, Fraction):
+        if p.numerator > 0:  # ordering a Fraction against 0 costs more than the log
+            return math.log(p.numerator) - math.log(p.denominator)
+    elif p > 0:
+        return math.log(p)
     if p < 0:
         raise InputError(f"negative probability {p!r}")
     if p == 0:
         return float("-inf")
-    if isinstance(p, Fraction):
-        return math.log(p.numerator) - math.log(p.denominator)
-    return math.log(p)
+    return math.log(p)  # NaN
 
 
 @dataclass(frozen=True)
@@ -213,15 +217,21 @@ class EmpiricalDistribution:
 
     def __post_init__(self):
         alphabet = tuple(self.alphabet)
-        counts = tuple(int(c) for c in self.counts)
+        try:  # integers only: int() would truncate 2.5 to 2
+            counts, n = tuple(map(operator.index, self.counts)), operator.index(self.n)
+        except TypeError:
+            raise DistributionError(
+                f"counts and n must be integers, got {self.counts!r} and {self.n!r}"
+            ) from None
         if len(alphabet) != len(counts):
             raise DistributionError("one count per alphabet symbol required")
         if any(c < 0 for c in counts):
             raise DistributionError("counts must be nonnegative")
-        if sum(counts) != self.n:
-            raise DistributionError(f"counts sum to {sum(counts)}, not n={self.n}")
+        if sum(counts) != n:
+            raise DistributionError(f"counts sum to {sum(counts)}, not n={n}")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "_index", {x: i for i, x in enumerate(alphabet)})
 
     def count(self, x) -> int:

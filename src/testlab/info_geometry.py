@@ -51,22 +51,26 @@ def kl(
     """D(p || q) = sum p(x) ln(p(x)/q(x)) over a shared alphabet.
 
     Empirical p uses the exact relative frequencies, so zero-count cells
-    drop out by the 0*ln(0) convention regardless of q.
+    drop out by the 0*ln(0) convention regardless of q. Logs are the cached
+    ``log_probs``, and for a count c that of the reduced c/n, as
+    ``log_probability`` gives it: log(c) - log(n) can differ in the last bit.
     """
     if isinstance(p, EmpiricalDistribution):
-        if p.n == 0:
+        n = p.n
+        if n == 0:
             raise EmptySampleError("divergence of an empty sample is undefined")
-        weights = [Fraction(c, p.n) for c in p.counts]
+        terms = [(c / n, math.log(c // g) - math.log(n // g) if c else -math.inf)
+                 for c in p.counts for g in (math.gcd(c, n),)]
     else:
-        weights = p.probs
+        terms = zip(map(float, p.probs), p.log_probs)
     require_same_alphabet(p, q)
     total = 0.0
-    for w, qv in zip(weights, q.probs):
-        if w == 0:
+    for (w, log_w), log_q in zip(terms, q.log_probs):
+        if log_w == -math.inf:  # zero mass, however small a float w may be
             continue
-        if qv == 0:
+        if log_q == -math.inf:
             return Divergence(math.inf)
-        total += float(w) * (log_probability(w) - log_probability(qv))
+        total += w * (log_w - log_q)
     if -1e-12 < total < 0.0:
         # sums of signed terms can land a hair below zero; the true value
         # cannot

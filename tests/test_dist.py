@@ -34,7 +34,7 @@ from testlab.errors import (
     UnknownSymbolError,
 )
 from testlab import dist
-from testlab.dist import _PCG_MULT, _finite_indices, parse_probability
+from testlab.dist import _PCG_MULT, _finite_indices, log_probability, parse_probability
 
 from helpers import bernoulli, random_rational_dist, total_variation
 
@@ -129,6 +129,44 @@ def test_log_prob_survives_tiny_fractions():
     assert d.log_prob("a") == pytest.approx(-400 * math.log(2), rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [Fraction(-1, 3), -0.25, -1, Fraction(-1, 10**400)])
+def test_log_probability_rejects_negative_mass(p):
+    with pytest.raises(InputError, match=re.escape(f"negative probability {p!r}")):
+        log_probability(p)
+
+
+@pytest.mark.parametrize("p", [0, Fraction(0), 0.0, -0.0])
+def test_log_probability_of_zero_mass_is_exactly_neg_inf(p):
+    assert log_probability(p) == -math.inf
+
+
+def test_log_probability_of_nan_is_nan():
+    assert math.isnan(log_probability(math.nan))
+
+
+@pytest.mark.parametrize(
+    "p, want",
+    [
+        (Fraction(1, 4), math.log(1) - math.log(4)),
+        (Fraction(6, 8), math.log(3) - math.log(4)),
+        (0.25, math.log(0.25)),
+        (5e-324, math.log(5e-324)),
+        (1, 0.0),
+        (Fraction(1), 0.0),
+        (1.0, 0.0),
+    ],
+)
+def test_log_probability_of_positive_mass(p, want):
+    got = log_probability(p)
+    assert type(got) is float and got == want
+
+
+def test_log_probability_of_a_fraction_below_the_double_range_is_finite():
+    p = Fraction(1, 10**400)
+    assert float(p) == 0.0
+    assert log_probability(p) == pytest.approx(-400 * math.log(10), rel=0, abs=1e-12)
+
+
 @given(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=10))
 @settings(max_examples=100)
 def test_exp_log_prob_sums_to_one(weights):
@@ -170,6 +208,23 @@ def test_empirical_frequencies_are_exact():
 def test_empirical_count_mismatch_rejected():
     with pytest.raises(DistributionError):
         EmpiricalDistribution(("a", "b"), (3, 1), 5)
+
+
+@pytest.mark.parametrize(
+    "counts, n",
+    [((2.5, 0.5), 3), ((2.5, 0.5), 2), ((1, 1), 2.0), ((1, 1), "2"), (("1", "1"), 2),
+     ((np.float64(1), 1), 2), ((1, 1), Fraction(2))],
+)
+def test_empirical_rejects_counts_and_n_that_are_not_integers(counts, n):
+    with pytest.raises(DistributionError, match="counts and n must be integers"):
+        EmpiricalDistribution(("a", "b"), counts, n)
+
+
+def test_empirical_takes_numpy_integers_as_ints():
+    e = EmpiricalDistribution(("a", "b"), np.array([3, 1]), np.int64(4))
+    assert e.counts == (3, 1) and e.n == 4
+    assert all(type(c) is int for c in (*e.counts, e.n))
+    assert e.frequencies().probs == (Fraction(3, 4), Fraction(1, 4))
 
 
 def test_empirical_of_large_sample_converges():

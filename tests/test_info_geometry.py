@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import string
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from testlab import (
+    EmpiricalDistribution,
     FiniteDistribution,
     Priors,
     Seed,
@@ -27,6 +29,7 @@ from testlab import (
     threshold_verdict,
     types_bound_radius,
 )
+from testlab.dist import log_probability
 from testlab.errors import (
     AlphabetMismatchError,
     EmptySampleError,
@@ -76,8 +79,95 @@ def test_kl_of_empirical_counts():
 def test_kl_rejects_empty_sample_and_mismatched_alphabets():
     with pytest.raises(EmptySampleError):
         kl(empirical([], ("a", "b")), H_FAIR)
+    # an empty sample is reported before the alphabets are compared
+    with pytest.raises(EmptySampleError):
+        kl(empirical([], ("x", "y")), H_FAIR)
     with pytest.raises(AlphabetMismatchError):
         kl(H_FAIR, FiniteDistribution.uniform(("x", "y")))
+
+
+def _reference_kl(p, q) -> float:
+    """kl's sum as it was written on Fraction weights, kept as the oracle
+    for bit-identical results."""
+    if isinstance(p, EmpiricalDistribution):
+        weights = [Fraction(c, p.n) for c in p.counts]
+    else:
+        weights = p.probs
+    total = 0.0
+    for w, qv in zip(weights, q.probs):
+        if w == 0:
+            continue
+        if qv == 0:
+            return math.inf
+        total += float(w) * (log_probability(w) - log_probability(qv))
+    if -1e-12 < total < 0.0:
+        total = 0.0
+    return total
+
+
+def _grid_dist(rng, k, exact, zeros):
+    weights = [rng.randint(0 if zeros else 1, 12) for _ in range(k)]
+    if sum(weights) == 0:
+        weights[rng.randrange(k)] = 1
+    total = sum(weights)
+    probs = [Fraction(w, total) if exact else w / total for w in weights]
+    return FiniteDistribution(tuple(string.ascii_letters[:k]), tuple(probs))
+
+
+def _grid_counts(rng, k):
+    """Counts of a sample of 1-60, some of them scaled so that every count
+    shares a factor with n."""
+    counts = [0] * k
+    for _ in range(rng.randint(1, 60)):
+        counts[rng.randrange(k)] += 1
+    scale = rng.choice((1, 1, 2, 3, 4))
+    return tuple(scale * c for c in counts)
+
+
+def test_kl_equals_the_fraction_formula_bit_for_bit():
+    rng = random.Random(15)
+    cases = unreduced_misses = 0
+    for k, p_exact, q_exact, p_zeros, q_zeros in itertools.product(
+        range(1, 9), (True, False), (True, False), (True, False), (True, False)
+    ):
+        for _ in range(25):
+            q = _grid_dist(rng, k, q_exact, q_zeros)
+            p = _grid_dist(rng, k, p_exact, p_zeros)
+            counts = _grid_counts(rng, k)
+            emp = EmpiricalDistribution(q.alphabet, counts, sum(counts))
+            for a in (p, emp):
+                got = kl(a, q).nats
+                assert type(got) is float
+                assert got == _reference_kl(a, q), (a, q)
+                cases += 1
+            unreduced_misses += any(
+                math.log(c) - math.log(emp.n) != log_probability(Fraction(c, emp.n))
+                for c in counts if c
+            )
+    # the grid must reach counts whose unreduced log differs in the last bit
+    assert cases == 6400 and unreduced_misses > 100
+    # 2 of 6 is such a case; 2 of 4 is not
+    assert math.log(2) - math.log(6) != math.log(1) - math.log(3)
+    for counts in ((2, 4), (2, 2)):
+        emp = EmpiricalDistribution(("a", "b"), counts, sum(counts))
+        assert kl(emp, K_QUARTER).nats == _reference_kl(emp, K_QUARTER)
+
+
+def test_kl_of_a_mass_whose_float_underflows_against_a_zero_cell_is_infinite():
+    tiny = Fraction(1, 10**400)
+    p = FiniteDistribution(("a", "b"), (tiny, 1 - tiny))
+    q = FiniteDistribution(("a", "b"), (Fraction(0), Fraction(1)))
+    assert float(tiny) == 0.0
+    assert kl(p, q).is_infinite
+    assert kl(p, q).nats == _reference_kl(p, q) == math.inf
+
+
+def test_kl_reads_the_log_of_a_q_mass_whose_float_underflows():
+    tiny = Fraction(1, 10**400)
+    q = FiniteDistribution(("a", "b"), (tiny, 1 - tiny))
+    got = kl(H_FAIR, q).nats
+    assert math.isfinite(got) and got == _reference_kl(H_FAIR, q)
+    assert got == pytest.approx(0.5 * 400 * math.log(10) - math.log(2), rel=1e-12)
 
 
 def test_gibbs_inequality_on_grid():
