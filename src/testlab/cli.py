@@ -3,8 +3,9 @@ design, divergence tests and scenario simulation.
 
 Exit codes: 0 success, 1 input error, 2 internal error. Everything that
 affects results is an explicit flag or scenario key, and no environment
-variable is read; simulate --workers sets the thread count, which never
-changes numbers.
+variable is read; simulate --workers sets the thread count, used only for
+replications at least harness._POOL_WIDTH draws wide, and it never changes
+numbers.
 """
 
 from __future__ import annotations
@@ -358,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--reps", type=int, help="override the scenario's replication count")
     p.add_argument("--seed", type=int, help="override the scenario's seed root")
-    p.add_argument("--workers", type=int, default=1, help="thread count (results never depend on it)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="thread count, used only for replications at least "
+                   f"{harness._POOL_WIDTH} draws wide (results never depend on it)")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_simulate)
 

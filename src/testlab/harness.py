@@ -90,6 +90,9 @@ PARADIGMS = (
 # block of seed words, hashed once
 _CHUNK = _BLOCK
 _CELLS = 2**14  # draws per block buffer: one row when a path is longer
+# draws per replication from which threads pay (tools/worker_sweep.py): a block
+# of one row; narrower ones retake the GIL on every small fill and 2-D reduce
+_POOL_WIDTH = _CELLS // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -313,8 +316,12 @@ def _replicate(seed, workers, out, width, fill, reduce, report=None):
     axis; a block of one row reaches it as that row, 1-D, since numpy's
     2-D accumulate holds the GIL and its 2-D calls cost more per call than
     one long row saves. Chunks run through the module global
-    ``_for_each_rep``, so rebinding it sees each chunk. A report given
-    gets the sha256 of the filled out appended to its replication_digests.
+    ``_for_each_rep``, so rebinding it sees each chunk. They go to a pool of
+    workers threads only when width is at least _POOL_WIDTH; narrower
+    replications run on the calling thread, where one thread beats two.
+    Chunks are fixed either way, so this moves timing, never a result. A
+    report given gets the sha256 of the filled out appended to its
+    replication_digests.
     """
     rows = max(1, _CELLS // max(width, 1))
     fill = getattr(np.random.Generator, fill)
@@ -328,7 +335,7 @@ def _replicate(seed, workers, out, width, fill, reduce, report=None):
                 fill(rng, out=row)
             out[lo : lo + len(part)] = reduce(part if len(part) > 1 else part[0])
 
-    _for_each_rep(len(out), workers, body)
+    _for_each_rep(len(out), workers if width >= _POOL_WIDTH else 1, body)
     if report is not None:
         import hashlib  # here, not at the top: loading OpenSSL slows every CLI start
 

@@ -1,4 +1,5 @@
 import math
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -115,7 +116,8 @@ def test_bit_identical_reruns():
     assert _csv_without_clock(a) == _csv_without_clock(b)
 
 
-def test_worker_count_does_not_change_results():
+def test_worker_count_does_not_change_results(monkeypatch):
+    monkeypatch.setattr(harness, "_POOL_WIDTH", 1)  # horizon 150 would run unthreaded
     scenario = small_lr_scenario(reps=3000)
     serial = run_scenario(scenario, workers=1)
     threaded = run_scenario(scenario, workers=4)
@@ -186,9 +188,10 @@ _ORDERED = {
 
 
 @pytest.mark.parametrize("name", sorted(_ORDERED))
-def test_per_replication_verdicts_do_not_depend_on_the_worker_count(name):
+def test_per_replication_verdicts_do_not_depend_on_the_worker_count(monkeypatch, name):
     # every CSV row sums over replications; only the verdicts keep their order.
-    # 1 100 replications make two chunks, one per worker
+    # 1 100 replications make two chunks, one per worker, on pool threads
+    monkeypatch.setattr(harness, "_POOL_WIDTH", 1)
     serial = run_scenario(_ORDERED[name](), workers=1).verdicts
     threaded = run_scenario(_ORDERED[name](), workers=2).verdicts
     assert len(serial) == 1100 and len(set(serial)) > 1
@@ -236,6 +239,7 @@ def test_replication_order_does_not_depend_on_blocks_or_workers(monkeypatch, nam
         run = lambda: family_wise_error(5, 0.2, "bonferroni", 1025, Seed(7))  # noqa: E731
     else:
         run = lambda: run_scenario(_BLOCKED[name])  # noqa: E731
+    monkeypatch.setattr(harness, "_POOL_WIDTH", 1)
     [(blocked, seed, width, fill, reduce)] = _replicated(run, workers=2)
     monkeypatch.setattr(harness, "_CELLS", 1)
     [(single, *_)] = _replicated(run, workers=1)
@@ -245,6 +249,29 @@ def test_replication_order_does_not_depend_on_blocks_or_workers(monkeypatch, nam
     for i in range(1025):
         getattr(seed.rng(i), fill)(out=row)
         assert np.array_equal(single[i], reduce(row)), i
+
+
+@pytest.mark.parametrize("width, pooled", [(harness._POOL_WIDTH - 1, False),
+                                           (harness._POOL_WIDTH, True)])
+def test_only_replications_at_least_pool_width_wide_run_on_pool_threads(
+    monkeypatch, width, pooled
+):
+    threads = []
+    original = harness._for_each_rep
+
+    def recording(reps, workers, body):
+        def recorded(span):
+            threads.append(threading.get_ident())
+            return body(span)
+
+        return original(reps, workers, recorded)
+
+    monkeypatch.setattr(harness, "_for_each_rep", recording)
+    out = np.empty(2 * harness._CHUNK)
+    harness._replicate(Seed(7), 2, out, width, "random", lambda block: block[..., 0])
+    assert len(threads) == 2
+    on_caller = [t == threading.get_ident() for t in threads]
+    assert on_caller == [not pooled] * 2
 
 
 @pytest.mark.parametrize("k", [8, 12])

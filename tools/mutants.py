@@ -91,16 +91,27 @@ MUTANTS = (
         "        if ev.exact_ratio > s_exact:\n",
         ("tests/test_evidential.py::test_threshold_verdict_boundary_accepts_k_exactly",),
     ),
-    # 2-worker runs seed replication i from stream i ^ 1; every CSV row sums
-    # over replications and cannot see it
+    # pool threads seed replication i from stream i ^ 1; every CSV row sums
+    # over replications and cannot see it, and only a test whose chunks run
+    # on pool threads can
     Mutant(
         "replicate-stream-i-xor-1",
         "src/testlab/harness.py",
         "        rngs = seed._rep_rngs(span)\n",
-        "        rngs = seed._rep_rngs(span) if workers <= 1 else "
-        "(seed.rng(i ^ 1) for i in span)\n",
+        "        import threading\n"
+        "        rngs = seed._rep_rngs(span) if threading.current_thread() is "
+        "threading.main_thread() else (seed.rng(i ^ 1) for i in span)\n",
         ("tests/test_harness.py::"
          "test_per_replication_verdicts_do_not_depend_on_the_worker_count[lr-n]",),
+    ),
+    # replications narrower than _POOL_WIDTH run on the calling thread
+    Mutant(
+        "pool-width-gate-removed",
+        "src/testlab/harness.py",
+        "workers if width >= _POOL_WIDTH else 1",
+        "workers if width >= 0 else 1",
+        ("tests/test_harness.py::"
+         "test_only_replications_at_least_pool_width_wide_run_on_pool_threads",),
     ),
 )
 
