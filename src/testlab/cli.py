@@ -46,17 +46,19 @@ class _Parser(argparse.ArgumentParser):
         raise _CliInputError(message)
 
 
-def _emit(args, pairs, text_lines=None):
-    """Write either a key/value CSV or human-readable text to --out/stdout."""
+def _emit(args, rows):
+    """Write rows of (key, value[, text line]) to --out/stdout, as a key/value
+    CSV or as text; a 2-tuple prints as `key = value` and a text line of
+    None leaves its row out of the text."""
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([key for key, _ in pairs])
-        writer.writerow([_render(value) for _, value in pairs])
+        writer.writerow([row[0] for row in rows])
+        writer.writerow([_render(row[1]) for row in rows])
         payload = buf.getvalue()
     else:
-        lines = text_lines or [f"{key} = {_render(value)}" for key, value in pairs]
-        payload = "\n".join(lines) + "\n"
+        lines = (f"{r[0]} = {_render(r[1])}" if len(r) == 2 else r[2] for r in rows)
+        payload = "".join(f"{line}\n" for line in lines if line is not None)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload)
@@ -83,84 +85,61 @@ def _cmd_fisher(args):
     significant = report.significant(args.level)
     # an exact tail can run to many thousands of digits: render it once
     p_text, point_text = _render(report.p), _render(report.point_prob)
-    pairs = [
-        ("p_exact", p_text),
-        ("p_float", float(report.p)),
-        ("point_prob", point_text),
-        ("n_extreme", report.n_extreme),
-        ("level", args.level),
-        ("significant", significant),
-    ]
-    text = [
-        f"p-value (exact)   = {p_text}",
-        f"p-value (float)   = {float(report.p):.6e}",
-        f"point probability = {point_text}",
-        f"tail outcomes     = {report.n_extreme}",
-        f"significant at {_render(args.level)}? {'yes' if significant else 'no'}",
+    rows = [
+        ("p_exact", p_text, f"p-value (exact)   = {p_text}"),
+        ("p_float", float(report.p), f"p-value (float)   = {float(report.p):.6e}"),
     ]
     if report.p > 0 and float(report.p) == 0:  # exact tail below double range
         log10_p = log_probability(report.p) / math.log(10)
-        pairs.insert(2, ("log10_p", log10_p))
-        text.insert(2, f"log10 p-value     = {log10_p:.6f}")
-    _emit(args, pairs, text)
+        rows.append(("log10_p", log10_p, f"log10 p-value     = {log10_p:.6f}"))
+    rows += [
+        ("point_prob", point_text, f"point probability = {point_text}"),
+        ("n_extreme", report.n_extreme, f"tail outcomes     = {report.n_extreme}"),
+        ("level", args.level, None),
+        ("significant", significant,
+         f"significant at {_render(args.level)}? {_render(significant)}"),
+    ]
+    _emit(args, rows)
     return EXIT_OK
 
 
-def _evidence_common(args):
-    h = read_distribution(args.h_dist)
-    k = read_distribution(args.k_dist)
-    xs = read_symbols(args.data)
-    return h, k, evidential.evidence_from_sample(h, k, xs)
+def _read_pair_and_data(args):
+    """The --h-dist and --k-dist distributions and the data file's symbols."""
+    h, k = read_distribution(args.h_dist), read_distribution(args.k_dist)
+    return h, k, read_symbols(args.data)
+
+
+def _evidence_rows(ev):
+    """The rows lr and bayes share: n, ln r_n, r_n and its grade."""
+    grade = evidential.grade(ev.ratio)
+    return [
+        ("n", ev.n, f"n        = {ev.n}"),
+        ("log_lr", ev.sum_log_lr, f"log r_n  = {_render(ev.sum_log_lr)}"),
+        ("lr", ev.ratio, f"r_n      = {_render(ev.ratio)}"),
+        ("grade", str(grade), f"grade    = {grade}"),
+    ]
 
 
 def _cmd_lr(args):
-    _, _, ev = _evidence_common(args)
+    ev = evidential.evidence_from_sample(*_read_pair_and_data(args))
     verdict = evidential.threshold_verdict(ev, args.s)
-    grade = evidential.grade(ev.ratio)
-    pairs = [
-        ("n", ev.n),
-        ("log_lr", ev.sum_log_lr),
-        ("lr", ev.ratio),
-        ("grade", str(grade)),
-        ("s", args.s),
-        ("verdict", verdict.value),
-    ]
-    text = [
-        f"n        = {ev.n}",
-        f"log r_n  = {_render(ev.sum_log_lr)}",
-        f"r_n      = {_render(ev.ratio)}",
-        f"grade    = {grade}",
-        f"verdict at s={_render(args.s)}: {verdict.value}",
-    ]
-    _emit(args, pairs, text)
+    _emit(args, _evidence_rows(ev) + [
+        ("s", args.s, None),
+        ("verdict", verdict.value, f"verdict at s={_render(args.s)}: {verdict.value}"),
+    ])
     return EXIT_OK
 
 
 def _cmd_bayes(args):
-    _, _, ev = _evidence_common(args)
+    ev = evidential.evidence_from_sample(*_read_pair_and_data(args))
     priors = Priors(parse_probability(args.prior_h))
     odds = evidential.posterior_odds(ev, priors)
     post = evidential.posterior_prob_k(ev, priors)
-    grade = evidential.grade(ev.ratio)
-    pairs = [
-        ("n", ev.n),
-        ("log_lr", ev.sum_log_lr),
-        ("lr", ev.ratio),
-        ("grade", str(grade)),
-        ("prior_h", float(priors.pi_h)),
-        ("posterior_odds_k", odds),
-        ("posterior_k", post),
-    ]
-    text = [
-        f"n        = {ev.n}",
-        f"log r_n  = {_render(ev.sum_log_lr)}",
-        f"r_n      = {_render(ev.ratio)}",
-        f"grade    = {grade}",
-        f"prior P(H) = {_render(float(priors.pi_h))}",
-        f"posterior odds K:H = {_render(odds)}",
-        f"posterior P(K)     = {_render(post)}",
-    ]
-    _emit(args, pairs, text)
+    _emit(args, _evidence_rows(ev) + [
+        ("prior_h", float(priors.pi_h), f"prior P(H) = {_render(float(priors.pi_h))}"),
+        ("posterior_odds_k", odds, f"posterior odds K:H = {_render(odds)}"),
+        ("posterior_k", post, f"posterior P(K)     = {_render(post)}"),
+    ])
     return EXIT_OK
 
 
@@ -172,7 +151,7 @@ def _cmd_np(args):
     else:
         rule, rates = neyman_pearson.np_test(pair, args.n, args.alpha)
         kind = "fixed-alpha"
-    pairs = [
+    rows = [
         ("rule", kind),
         ("n", args.n),
         ("cutoff", rule.cutoff),
@@ -181,7 +160,7 @@ def _cmd_np(args):
         ("total_error", rates.total),
         ("power", 1.0 - rates.beta),
     ]
-    _emit(args, pairs)
+    _emit(args, rows)
     return EXIT_OK
 
 
@@ -199,7 +178,7 @@ def _cmd_power(args):
         )
     spec = neyman_pearson.PowerSpec(sigma=args.sigma, **given)
     solved = neyman_pearson.solve_power(spec)
-    pairs = [
+    rows = [
         ("solved_for", spec.unknown),
         ("alpha", solved.alpha),
         ("beta", solved.beta),
@@ -208,7 +187,7 @@ def _cmd_power(args):
         ("n", solved.n),
         ("sigma", solved.sigma),
     ]
-    _emit(args, pairs)
+    _emit(args, rows)
     return EXIT_OK
 
 
@@ -217,32 +196,25 @@ def _cmd_kl(args):
     q = read_distribution(args.q_file)
     forward = info_geometry.kl(p, q)
     backward = info_geometry.kl(q, p)
-    pairs = [
-        ("kl_pq_nats", forward.nats),
-        ("kl_qp_nats", backward.nats),
-    ]
-    text = [
-        f"D(p || q) = {_render(forward.nats)} nats",
-        f"D(q || p) = {_render(backward.nats)} nats",
-    ]
-    _emit(args, pairs, text)
+    _emit(args, [
+        ("kl_pq_nats", forward.nats, f"D(p || q) = {_render(forward.nats)} nats"),
+        ("kl_qp_nats", backward.nats, f"D(q || p) = {_render(backward.nats)} nats"),
+    ])
     return EXIT_OK
 
 
 def _cmd_map(args):
-    h = read_distribution(args.h_dist)
-    k = read_distribution(args.k_dist)
-    xs = read_symbols(args.data)
+    h, k, xs = _read_pair_and_data(args)
     priors = Priors(parse_probability(args.prior_h))
     ev, d_h, d_k = info_geometry._evidence_and_divergences(h, k, xs)
     decision = info_geometry._map_decision(priors, ev, d_h, d_k)
-    pairs = [
+    rows = [
         ("n", len(xs)),
         ("prior_h", float(priors.pi_h)),
         ("log_lr", ev.sum_log_lr),
         ("decision", decision),
     ]
-    _emit(args, pairs)
+    _emit(args, rows)
     return EXIT_OK
 
 
@@ -251,14 +223,14 @@ def _cmd_hoeffding(args):
     xs = read_symbols(args.data)
     cfg = info_geometry.UniversalTestConfig(delta=args.delta)
     result = info_geometry.hoeffding_test(h, xs, cfg)
-    pairs = [
+    rows = [
         ("n", result.n),
         ("statistic_nats", result.statistic),
         ("radius", result.radius),
         ("delta", args.delta),
         ("decision", result.decision.value),
     ]
-    _emit(args, pairs)
+    _emit(args, rows)
     return EXIT_OK
 
 

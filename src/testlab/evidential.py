@@ -128,10 +128,6 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _log_fraction(r: Fraction) -> float:
-    return math.log(r.numerator) - math.log(r.denominator)
-
-
 def _fold(
     ev: LogEvidence, h: FiniteDistribution, k: FiniteDistribution, seen
 ) -> LogEvidence:
@@ -171,7 +167,7 @@ def _fold(
         ratio = Fraction(num, den)
         if ev.exact_ratio != 1:
             ratio *= ev.exact_ratio
-        return LogEvidence(_log_fraction(ratio), n, None, ratio)
+        return LogEvidence(log_probability(ratio), n, None, ratio)
     total = ev.sum_log_lr
     lh, lk = h.log_probs, k.log_probs
     for i, c in seen:
@@ -273,10 +269,12 @@ def threshold_verdict(ev: LogEvidence, s=8.0) -> Verdict:
     if s < 1:
         raise InputError(f"threshold must be at least 1, got {s!r}")
     if ev.exact_ratio is not None:
-        s_exact = s if isinstance(s, Fraction) else Fraction(s)
-        if ev.exact_ratio >= s_exact:
+        # r_n = a/b against s = c/d > 0, compared exactly as integers
+        a, b = ev.exact_ratio.numerator, ev.exact_ratio.denominator
+        c, d = s.as_integer_ratio()
+        if a * d >= b * c:
             return Verdict.ACCEPT_K
-        if ev.exact_ratio <= 1 / s_exact:
+        if a * c <= b * d:
             return Verdict.ACCEPT_H
         return Verdict.CONTINUE
     log_s = math.log(s)

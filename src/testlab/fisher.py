@@ -146,6 +146,30 @@ def binomial_tail(
     )
 
 
+def _first_significant_count(n: int, theta, alpha: float) -> int:
+    """The least count whose upper tail under Binomial(n, theta) is
+    significant at alpha in (0, 1), n + 1 when none is.
+
+    One descending pass over binomial_tail's integer terms, from t_n = a**n
+    by t_{k-1} = t_k k c // ((n - k + 1) a), keeps the running tail over
+    b**n and stops at the first count whose tail exceeds alpha = num/den,
+    compared exactly: tail * den > num * b**n.
+    """
+    a, b = theta.as_integer_ratio()
+    if a == 0:  # all the mass sits on 0, so every count from 1 has tail 0
+        return 1
+    c = b - a
+    num, den = alpha.as_integer_ratio()
+    bound = num * b**n
+    k = n
+    term = total = a**n
+    while total * den <= bound:
+        term = term * k * c // ((n - k + 1) * a)
+        total += term
+        k -= 1
+    return k + 1
+
+
 def significance_verdict(p, level: float = 0.05) -> bool:
     """True iff p <= level. The boundary counts as significant."""
     if not 0 < level < 1:

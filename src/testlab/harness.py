@@ -31,8 +31,12 @@ Scenario keys
 
 Sizes (horizon, n) are at least 1 (bayes/map n at least 0), s is finite
 and at least 1, optional-stopping alpha lies in (0, 1) and lr-eta is
-positive and finite; any other value is a ScenarioError naming its key.
-A hoeffding truth of K must share the alphabet of [hypothesis-h].
+positive and finite, and looks and checkpoints are strictly increasing
+integers from 1 (checkpoints up to n); any other value is a ScenarioError
+naming its key. A hoeffding truth of K must share the alphabet of
+[hypothesis-h]. A two-symbol optional-stopping null rejects at each look
+once its running count reaches the least count with a significant exact
+binomial tail, found in one pass over the tail's terms.
 
 The library's Monte Carlo estimators replicate here too, so this module
 owns every replication loop and seed stream: optional_stopping_alpha and
@@ -44,7 +48,6 @@ reduce of a block of draws.
 
 from __future__ import annotations
 
-import bisect
 import configparser
 import csv
 import io
@@ -268,13 +271,15 @@ def _ints(text):
     return tuple(int(part) for part in str(text).split())
 
 
-def _looks_param(scenario):
-    looks = _param(scenario, "looks", _ints, required=True)
-    if not looks or any(b <= a for a, b in zip(looks, looks[1:])) or looks[0] < 1:
-        raise ScenarioError(
-            f"scenario {scenario.name}: looks must be strictly increasing, got {looks}"
-        )
-    return looks
+def _increasing_param(scenario, key, top=None, required=False):
+    """params[key] as strictly increasing integers from 1, and up to top."""
+
+    def ok(v):
+        ordered = all(a < b for a, b in zip(v, v[1:]))
+        return bool(v) and ordered and v[0] >= 1 and (top is None or v[-1] <= top)
+
+    what = "strictly increasing integers from 1" + (f" to {top}" if top else "")
+    return _param(scenario, key, _ints, required=required, check=(ok, what))
 
 
 def _require_pair(scenario):
@@ -375,16 +380,6 @@ def _run_fisher(scenario, report, workers):
     report.values["significant"] = rep.significant(level)
 
 
-def _lr_checkpoints(scenario, n):
-    points = _param(scenario, "checkpoints", _ints)
-    if points is None:
-        quarters = sorted({max(1, n // 4), max(1, n // 2), max(1, (3 * n) // 4), n})
-        return tuple(quarters)
-    if any(p < 1 or p > n for p in points):
-        raise ScenarioError(f"scenario {scenario.name}: checkpoints outside 1..{n}")
-    return points
-
-
 def _run_lr(scenario, report, workers):
     h, k = _require_pair(scenario)
     truth = _truth_dist(scenario)
@@ -410,7 +405,8 @@ def _run_lr(scenario, report, workers):
         return
 
     n = _int_param(scenario, "n", required=True)
-    checkpoints = _lr_checkpoints(scenario, n)
+    quarters = sorted({max(1, n // 4), max(1, n // 2), max(1, (3 * n) // 4), n})
+    checkpoints = _increasing_param(scenario, "checkpoints", top=n) or tuple(quarters)
     report.values["n"] = n
     marks = np.array(checkpoints + (n,)) - 1  # ln r at each checkpoint, then ln r_n
 
@@ -572,7 +568,7 @@ def _divergences(counts, n, log_h):
 
 def _run_optional_stopping(scenario, report, workers):
     alpha = _float_param(scenario, "alpha", default=0.05, check=_LEVEL)
-    looks = _looks_param(scenario)
+    looks = _increasing_param(scenario, "looks", required=True)
     s = _float_param(scenario, "s", default=1.0 / alpha, check=_THRESHOLD)
     report.values["alpha"] = alpha
     report.values["s"] = s
@@ -619,16 +615,9 @@ def _run_optional_stopping(scenario, report, workers):
             )
         h, k = scenario.h, scenario.k
         theta = h.probs[1]
-        # per look, bisect for the first count whose (shrinking) upper tail is
-        # significant, n_j + 1 if none is: a threshold on running counts
-        cut = np.array([
-            bisect.bisect_left(
-                range(n_j + 1),
-                True,
-                key=lambda c: fisher.binomial_tail(n_j, c, theta).significant(alpha),
-            )
-            for n_j in looks
-        ])
+        # per look, the first count whose upper tail is significant, n_j + 1
+        # if none is: a threshold on running counts
+        cut = np.array([fisher._first_significant_count(m, theta, alpha) for m in looks])
         table = log_ratio_table(h, k)
 
         fill = "random"

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .dist import (
@@ -24,7 +23,7 @@ from .dist import (
     require_same_alphabet,
 )
 from .errors import EmptySampleError, InputError
-from .evidential import LogEvidence, Priors, Verdict, evidence_from_counts
+from .evidential import LogEvidence, Priors, Verdict, evidence_from_counts, threshold_verdict
 
 
 @dataclass(frozen=True)
@@ -161,8 +160,7 @@ def lr_threshold_as_kl_margin(
     ev, d_h, d_k = _evidence_and_divergences(h, k, xs)
     margin = math.log(s) / n
     if ev.exact_ratio is not None:
-        s_exact = s if isinstance(s, Fraction) else Fraction(s)
-        accept_k = ev.exact_ratio >= s_exact
+        accept_k = threshold_verdict(ev, s) is Verdict.ACCEPT_K
     else:
         accept_k = d_h - margin >= d_k
     verdict = Verdict.ACCEPT_K if accept_k else Verdict.ACCEPT_H

@@ -371,6 +371,12 @@ def test_simulate_reps_and_seed_overrides(capsys, tmp_path):
         ("optional-stopping", {"alpha": "0.05", "looks": "5 x"}, "looks"),
         ("optional-stopping", {"looks": "5 10", "lr-eta": "nan"}, "lr-eta"),
         ("optional-stopping", {"looks": "5 10", "lr-eta": "inf"}, "lr-eta"),
+        ("lr", {"s": "8", "n": "10", "checkpoints": "3 3 2"}, "checkpoints"),
+        ("lr", {"s": "8", "n": "10", "checkpoints": ""}, "checkpoints"),
+        ("lr", {"s": "8", "n": "10", "checkpoints": "0 5"}, "checkpoints"),
+        ("lr", {"s": "8", "n": "10", "checkpoints": "5 11"}, "checkpoints"),
+        ("optional-stopping", {"alpha": "0.05", "looks": "10 5"}, "looks"),
+        ("optional-stopping", {"alpha": "0.05", "looks": ""}, "looks"),
     ],
 )
 def test_simulate_rejects_out_of_range_params(capsys, tmp_path, paradigm, params, key):

@@ -299,6 +299,9 @@ def test_threshold_verdict_boundary_accepts_k_exactly():
     assert threshold_verdict(ev, 8) is Verdict.ACCEPT_K
     ev = LogEvidence(math.log(0.125), 3, None, Fraction(1, 8))
     assert threshold_verdict(ev, 8) is Verdict.ACCEPT_H
+    for r in (Fraction(7), Fraction(1, 7)):
+        ev = LogEvidence(math.log(r), 3, None, r)
+        assert threshold_verdict(ev, 8) is Verdict.CONTINUE
 
 
 def test_threshold_verdict_validates_s():

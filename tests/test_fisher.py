@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from testlab import (
     significance_verdict,
 )
 from testlab.dist import as_probability
+from testlab.fisher import _first_significant_count
 from testlab.errors import InputError, UnknownSymbolError, UnorderedAlphabetError
 
 from helpers import random_rational_dist, super_uniformity_holds
@@ -71,7 +73,7 @@ def test_complement_identity_exact():
 )
 @settings(max_examples=60, deadline=None)
 def test_upper_tail_does_not_increase_with_count(n, theta):
-    # the optional-stopping runner bisects for the first significant count
+    # so the first significant count can be found by bisection
     tails = [binomial_tail(n, c, theta).p for c in range(n + 1)]
     assert all(a >= b for a, b in zip(tails, tails[1:]))
 
@@ -136,6 +138,28 @@ def test_integer_sum_tail_equals_the_term_by_term_tail(case):
     assert type(got.point_prob) is type(want.point_prob) is Fraction
 
 
+def _first_significant_count_by_bisection(n, theta, alpha):
+    def significant(c):
+        return binomial_tail(n, c, theta).significant(alpha)
+
+    return bisect.bisect_left(range(n + 1), True, key=significant)
+
+
+def test_first_significant_count_equals_bisection_on_a_grid():
+    # at theta 1/2, alpha 0.25, 0.125 and 0.5 equal the tails at n = 2,
+    # n = 3 and each odd n: a tail equal to alpha counts as significant
+    thetas = (
+        Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(9, 10),
+        0.1, 0.7, 1 / 3, Fraction(1, 10**40),
+    )
+    alphas = (0.25, 0.125, 0.05, 0.5, 1e-12, 0.999999)
+    for n in (*range(1, 41), 60):
+        for theta in thetas:
+            for alpha in alphas:
+                want = _first_significant_count_by_bisection(n, theta, alpha)
+                assert _first_significant_count(n, theta, alpha) == want, (n, theta, alpha)
+
+
 # --- directed p-values ---------------------------------------------------------
 
 
@@ -153,6 +177,14 @@ def test_sharp_versus_heavy_tail_same_point_probability():
 def test_point_mass_upper_tail_is_one():
     d = FiniteDistribution(("lo", "hi"), (Fraction(0), Fraction(1)))
     assert p_value(d, "lo", GE).p == 1
+
+
+def test_float_tail_summing_past_one_is_clamped_to_one():
+    # 0.2 + 0.4 + 0.3 + 0.1 rounds to 1.0000000000000002 in doubles
+    d = FiniteDistribution((1, 2, 3, 4), (0.2, 0.4, 0.3, 0.1))
+    report = p_value(d, 1, GE)
+    assert report.p == 1.0 and type(report.p) is float
+    assert report.point_prob == 0.2
 
 
 def test_two_sided_abs():

@@ -17,6 +17,7 @@ from testlab import (
     harness,
     lr_threshold_as_kl_margin,
     load_scenario,
+    neyman_pearson,
     optional_stopping_alpha,
     robbins_violation_probability,
     run_scenario,
@@ -335,6 +336,26 @@ def test_lr_one_shot_reports_ordered_trajectory_quantiles():
     assert counts["accept_k"] + counts["accept_h"] + counts["continue"] == 400
 
 
+def test_lr_one_shot_reports_the_given_checkpoints():
+    params = {"s": "8", "n": "40", "checkpoints": "3 7"}
+    report = run_scenario(small_lr_scenario(params=params))
+    assert sorted({key.split("@")[1] for key in report.trajectory}) == ["3", "7"]
+
+
+def test_a_replicating_paradigm_needs_a_replication():
+    with pytest.raises(ScenarioError, match="paradigm 'lr' needs reps >= 1"):
+        run_scenario(small_lr_scenario(reps=0))
+
+
+def test_np_scenario_with_alpha_uses_the_fixed_alpha_rule():
+    pair = GaussianPair(0.0, 1.0, 1.0)
+    report = run_scenario(_scenario("np", 10, {"n": "16", "alpha": "0.01"}, gaussian=pair))
+    rule, rates = neyman_pearson.np_test(pair, 16, 0.01)
+    assert report.values["rule"] == "fixed-alpha"
+    assert report.values["cutoff"] == rule.cutoff
+    assert report.values["alpha_analytic"] == rates.alpha
+
+
 def test_np_scenario_matches_analytic_alpha():
     scenario = Scenario(
         name="np-check",
@@ -413,6 +434,34 @@ def test_optional_stopping_alpha_function_finite_null():
         alternative=K_THREEQ,
     )
     assert result.cumulative_reject[0].value <= result.cumulative_reject[1].value
+
+
+@pytest.mark.parametrize("null, extra, params", [
+    (GaussianPair(0, 0, 1), {"s": 10.0, "lr_eta": 1.0}, {"s": "10.0", "lr-eta": "1.0"}),
+    (H_FAIR, {"alternative": K_THREEQ}, {}),
+])
+def test_optional_stopping_alpha_runs_the_scenario_it_describes(null, extra, params):
+    result = optional_stopping_alpha(
+        null, alpha=0.05, looks=(10, 20), reps=300, seed=Seed(7), **extra
+    )
+    fields = {"gaussian": null} if isinstance(null, GaussianPair) else {}
+    report = run_scenario(
+        _scenario("optional-stopping", 300, {**_OS_PARAMS, **params}, **fields)
+    )
+    assert result.s == report.values["s"]
+    for name in ("cumulative_reject", "lr_crossed"):
+        assert getattr(result, name) == tuple(
+            report.rates[f"{name}@{n}"] for n in (10, 20)
+        )
+
+
+@pytest.mark.parametrize("null, message", [
+    (H_FAIR, "a finite null needs the alternative the ratio monitor tests"),
+    (0.5, "cannot monitor a float"),
+])
+def test_optional_stopping_alpha_input_errors(null, message):
+    with pytest.raises(ScenarioError, match=message):
+        optional_stopping_alpha(null, alpha=0.05, looks=(10, 20), reps=5, seed=Seed(7))
 
 
 def test_optional_stopping_rejects_nonnull_setup():

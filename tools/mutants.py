@@ -83,13 +83,48 @@ MUTANTS = (
         "np.subtract(h.log_probs, k.log_probs)",
         ("tests/test_evidential.py::test_log_ratio_table_cells",),
     ),
-    # the boundary r_n = s accepts K
+    # the boundary r_n = s accepts K, in threshold_verdict and in the margin
+    # rule, which decides exact evidence through it
     Mutant(
         "threshold-verdict-strict",
         "src/testlab/evidential.py",
-        "        if ev.exact_ratio >= s_exact:\n",
-        "        if ev.exact_ratio > s_exact:\n",
+        "        if a * d >= b * c:\n",
+        "        if a * d > b * c:\n",
+        ("tests/test_evidential.py::test_threshold_verdict_boundary_accepts_k_exactly",
+         "tests/test_info_geometry.py::test_margin_rule_boundary_agrees_with_threshold"),
+    ),
+    # between 1/s and s exact evidence continues
+    Mutant(
+        "threshold-verdict-no-continue",
+        "src/testlab/evidential.py",
+        "        if a * c <= b * d:\n",
+        "        if a * d <= b * c:\n",
         ("tests/test_evidential.py::test_threshold_verdict_boundary_accepts_k_exactly",),
+    ),
+    # the optional-stopping cutoff is the least count whose upper tail is
+    # significant; a tail equal to alpha counts, and theta = 0 has its own
+    # branch because the descending pass divides by theta's numerator
+    Mutant(
+        "cutoff-boundary-not-significant",
+        "src/testlab/fisher.py",
+        "    while total * den <= bound:\n",
+        "    while total * den < bound:\n",
+        ("tests/test_fisher.py::test_first_significant_count_equals_bisection_on_a_grid",),
+    ),
+    Mutant(
+        "cutoff-off-by-one",
+        "src/testlab/fisher.py",
+        "    return k + 1\n",
+        "    return k\n",
+        ("tests/test_fisher.py::test_first_significant_count_equals_bisection_on_a_grid",),
+    ),
+    Mutant(
+        "cutoff-theta-zero-branch-removed",
+        "src/testlab/fisher.py",
+        "    if a == 0:  # all the mass sits on 0, so every count from 1 has tail 0\n"
+        "        return 1\n",
+        "",
+        ("tests/test_fisher.py::test_first_significant_count_equals_bisection_on_a_grid",),
     ),
     # pool threads seed replication i from stream i ^ 1; every CSV row sums
     # over replications and cannot see it, and only a test whose chunks run
