@@ -95,6 +95,83 @@ def test_missing_params_are_reported(tmp_path):
         run_scenario(scenario)
 
 
+_PAIR = "[hypothesis-h]\na = 1/2\nb = 1/2\n[hypothesis-k]\na = 3/4\nb = 1/4\n"
+_OS = "[params]\nalpha = 0.05\nlooks = 5 10\n"
+# each scenario file that fails, and the whole message it fails with; {path}
+# stands for the file's path
+_SCENARIO_ERRORS = {
+    "truth": ("[scenario]\nparadigm = lr\ntruth = X\n", "truth must be H or K, got 'X'"),
+    "negative-reps": (
+        "[scenario]\nparadigm = lr\nreps = -1\n", "reps must be nonnegative, got -1"
+    ),
+    "unparsable": (
+        "garbage\n",
+        "cannot parse scenario {path}: File contains no section headers.\n"
+        "file: {path!r}, line: 1\n'garbage\\n'",
+    ),
+    "no-scenario-section": ("[params]\nn = 3\n", "{path}: missing [scenario] section"),
+    "bad-integer": (
+        "[scenario]\nreps = many\n",
+        "{path}: bad integer in [scenario]: invalid literal for int() with base 10: 'many'",
+    ),
+    "empty-hypothesis": (
+        "[scenario]\nparadigm = lr\n[hypothesis-h]\n", "{path}: [hypothesis-h] is empty"
+    ),
+    "lr-without-k": (
+        "[scenario]\nname = e\nparadigm = lr\nreps = 5\n[hypothesis-h]\na = 1\n"
+        "[params]\nn = 3\n",
+        "scenario e: needs [hypothesis-h] and [hypothesis-k]",
+    ),
+    "fisher-observed-without-h": (
+        "[scenario]\nname = e\nparadigm = fisher\n[params]\nobserved = a\n",
+        "scenario e: observed-symbol mode needs [hypothesis-h]",
+    ),
+    "np-without-gaussian": (
+        "[scenario]\nname = e\nparadigm = np\nreps = 5\n[params]\nn = 3\n",
+        "scenario e: needs a [gaussian] section",
+    ),
+    "hoeffding-truth-k-without-k": (
+        "[scenario]\nname = e\nparadigm = hoeffding\ntruth = K\nreps = 5\n"
+        "[hypothesis-h]\na = 1/2\nb = 1/2\n[params]\nn = 3\n",
+        "scenario e: needs [hypothesis-h], and [hypothesis-k] for truth=K",
+    ),
+    "optional-stopping-three-symbols": (
+        "[scenario]\nname = e\nparadigm = optional-stopping\nreps = 5\n"
+        "[hypothesis-h]\na = 1/3\nb = 1/3\nc = 1/3\n"
+        "[hypothesis-k]\na = 1/2\nb = 1/4\nc = 1/4\n" + _OS,
+        "scenario e: finite-alphabet optional stopping needs two-symbol "
+        "[hypothesis-h] and [hypothesis-k]",
+    ),
+    "optional-stopping-finite-truth-k": (
+        "[scenario]\nname = e\nparadigm = optional-stopping\ntruth = K\nreps = 5\n"
+        + _PAIR + _OS,
+        "scenario e: optional stopping monitors a true null",
+    ),
+    "optional-stopping-gaussian-truth-k": (
+        "[scenario]\nname = e\nparadigm = optional-stopping\ntruth = K\nreps = 5\n"
+        "[gaussian]\nmu-h = 0\nmu-k = 0\nsigma = 1\n" + _OS,
+        "scenario e: optional stopping monitors a true null; use truth=H and a "
+        "zero-effect gaussian pair",
+    ),
+    "optional-stopping-gaussian-effect": (
+        "[scenario]\nname = e\nparadigm = optional-stopping\nreps = 5\n"
+        "[gaussian]\nmu-h = 0\nmu-k = 1\nsigma = 1\n" + _OS,
+        "scenario e: optional stopping monitors a true null; use truth=H and a "
+        "zero-effect gaussian pair",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_SCENARIO_ERRORS))
+def test_scenario_errors_give_their_whole_message(tmp_path, case):
+    text, message = _SCENARIO_ERRORS[case]
+    path = tmp_path / f"{case}.scenario"
+    path.write_text(text)
+    with pytest.raises(ScenarioError) as caught:
+        run_scenario(load_scenario(path))
+    assert str(caught.value) == message.format(path=str(path))
+
+
 def test_bundled_suite_parses():
     files = sorted(PAPER_SUITE.glob("*.scenario"))
     assert len(files) >= 13
