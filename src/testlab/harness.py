@@ -134,7 +134,6 @@ class SimulationReport:
     rates: dict = field(default_factory=dict)
     trajectory: dict = field(default_factory=dict)
     wall_clock: float = 0.0
-    verdicts: Optional[tuple] = None  # per-replication, kept out of the CSV
     # sha256 of each _replicate output, in call order, kept out of the CSV;
     # unlike the CSV's sums it changes when replications change places
     replication_digests: tuple = ()
@@ -147,11 +146,8 @@ class SimulationReport:
         def row(section, key, value, se=""):
             writer.writerow([self.scenario, section, key, _render(value), se])
 
-        row("meta", "paradigm", self.paradigm)
-        row("meta", "truth", self.truth)
-        row("meta", "reps", self.reps)
-        row("meta", "seed_root", self.seed_root)
-        row("meta", "seed_stream", self.seed_stream)
+        for key in ("paradigm", "truth", "reps", "seed_root", "seed_stream"):
+            row("meta", key, getattr(self, key))
         for key, value in self.values.items():
             row("value", key, value)
         for key, count in self.verdict_counts.items():
@@ -234,12 +230,16 @@ def load_scenario(path) -> Scenario:
 # --- typed access to [params] -------------------------------------------
 
 
+def _require(scenario, ok, what):
+    if not ok:
+        raise ScenarioError(f"scenario {scenario.name}: {what}")
+
+
 def _param(scenario, key, convert, default=None, required=False, check=None):
     """Convert params[key]; check = (predicate, what the value must be)."""
     raw = scenario.params.get(key)
     if raw is None:
-        if required:
-            raise ScenarioError(f"scenario {scenario.name}: missing param {key!r}")
+        _require(scenario, not required, f"missing param {key!r}")
         return default
     try:
         value = convert(raw)
@@ -247,10 +247,8 @@ def _param(scenario, key, convert, default=None, required=False, check=None):
         raise ScenarioError(
             f"scenario {scenario.name}: bad value {raw!r} for {key!r}"
         ) from exc
-    if check is not None and not check[0](value):
-        raise ScenarioError(
-            f"scenario {scenario.name}: {key!r} must be {check[1]}, got {raw!r}"
-        )
+    if check is not None:
+        _require(scenario, check[0](value), f"{key!r} must be {check[1]}, got {raw!r}")
     return value
 
 
@@ -283,16 +281,10 @@ def _increasing_param(scenario, key, top=None, required=False):
 
 
 def _require_pair(scenario):
-    if scenario.h is None or scenario.k is None:
-        raise ScenarioError(
-            f"scenario {scenario.name}: needs [hypothesis-h] and [hypothesis-k]"
-        )
-    return scenario.h, scenario.k
-
-
-def _truth_dist(scenario):
-    h, k = _require_pair(scenario)
-    return h if scenario.truth == "H" else k
+    """h, k and the one of them the truth names."""
+    h, k = scenario.h, scenario.k
+    _require(scenario, h and k, "needs [hypothesis-h] and [hypothesis-k]")
+    return h, k, h if scenario.truth == "H" else k
 
 
 def _for_each_rep(reps: int, workers: int, body) -> None:
@@ -354,10 +346,7 @@ def _replicate(seed, workers, out, width, fill, reduce, report=None):
 def _run_fisher(scenario, report, workers):
     level = _float_param(scenario, "level", default=0.05)
     if "observed" in scenario.params:
-        if scenario.h is None:
-            raise ScenarioError(
-                f"scenario {scenario.name}: observed-symbol mode needs [hypothesis-h]"
-            )
+        _require(scenario, scenario.h, "observed-symbol mode needs [hypothesis-h]")
         direction = fisher.TailDirection.parse(
             scenario.params.get("direction", "le")
         )
@@ -381,13 +370,10 @@ def _run_fisher(scenario, report, workers):
 
 
 def _run_lr(scenario, report, workers):
-    h, k = _require_pair(scenario)
-    truth = _truth_dist(scenario)
+    h, k, truth = _require_pair(scenario)
     s = _float_param(scenario, "s", default=8.0, check=_THRESHOLD)
     table = log_ratio_table(h, k)
     log_s = math.log(s)
-    reps = scenario.reps
-    seed = scenario.seed
     report.values["s"] = s
 
     horizon = _int_param(scenario, "horizon")
@@ -399,9 +385,9 @@ def _run_lr(scenario, report, workers):
             steps = table.take(_step_indices(truth, u))
             return np.cumsum(steps, axis=-1).max(axis=-1) >= log_s
 
-        crossed = np.zeros(reps, dtype=bool)
-        _replicate(seed, workers, crossed, horizon, "random", crosses, report)
-        report.rates["crossing_rate"] = rate_estimate(int(crossed.sum()), reps)
+        crossed = np.zeros(scenario.reps, dtype=bool)
+        _replicate(scenario.seed, workers, crossed, horizon, "random", crosses, report)
+        report.rates["crossing_rate"] = rate_estimate(int(crossed.sum()), scenario.reps)
         return
 
     n = _int_param(scenario, "n", required=True)
@@ -413,24 +399,30 @@ def _run_lr(scenario, report, workers):
     def path(u):
         return np.cumsum(table.take(_step_indices(truth, u)), axis=-1)[..., marks]
 
-    rows = np.empty((reps, len(marks)))
-    _replicate(seed, workers, rows, n, "random", path, report)
+    rows = np.empty((scenario.reps, len(marks)))
+    _replicate(scenario.seed, workers, rows, n, "random", path, report)
     sums, traj = rows[:, -1], rows[:, :-1]
 
-    verdicts = np.where(
-        sums >= log_s, "accept_k", np.where(sums <= -log_s, "accept_h", "continue")
-    )
-    report.verdicts = tuple(verdicts.tolist())
-    for name in ("accept_k", "accept_h", "continue"):
-        count = int((verdicts == name).sum())
+    accept_k = int((sums >= log_s).sum())
+    accept_h = int(((sums <= -log_s) & (sums < log_s)).sum())  # at s = 1, 0 accepts K
+    counts = (accept_k, accept_h, scenario.reps - accept_k - accept_h)
+    for name, count in zip(("accept_k", "accept_h", "continue"), counts):
         report.verdict_counts[name] = count
-        report.rates[f"{name}_rate"] = rate_estimate(count, reps)
+        report.rates[f"{name}_rate"] = rate_estimate(count, scenario.reps)
     report.rates["mean_log_lr_per_n"] = mean_estimate(sums / n)
+    qs = (5, 25, 50, 75, 95)
     for j, cp in enumerate(checkpoints):
-        for q in (5, 25, 50, 75, 95):
-            report.trajectory[f"log_lr_q{q:02d}@{cp}"] = float(
-                np.percentile(traj[:, j], q)
-            )
+        for q, value in zip(qs, _percentiles(traj[:, j], qs)):
+            report.trajectory[f"log_lr_q{q:02d}@{cp}"] = float(value)
+
+
+def _percentiles(x, qs):
+    """np.percentile(x, qs), save that an infinite order statistic with positive
+    weight (the lower one always has some) gives that value, not numpy's nan."""
+    with np.errstate(invalid="ignore"):
+        out = np.percentile(x, qs)
+    lower, higher = (np.percentile(x, qs, method=m) for m in ("lower", "higher"))
+    return np.where(np.isnan(out), np.where(np.isinf(lower), lower, higher), out)
 
 
 def _sum_log_lr(truth, table, n, reps, seed, workers, report=None):
@@ -442,13 +434,14 @@ def _sum_log_lr(truth, table, n, reps, seed, workers, report=None):
     return _replicate(seed, workers, np.empty(reps), n, "random", sums, report)
 
 
-def _tally(report, decide_k, truth=None):
-    """Record per-replication K/H decisions, and the error rate given the truth."""
-    count, reps = int(decide_k.sum()), len(decide_k)
-    report.verdicts = tuple(np.where(decide_k, "K", "H").tolist())
-    report.verdict_counts["decide_k"] = count
-    report.verdict_counts["decide_h"] = reps - count
-    report.rates["decide_k_rate"] = rate_estimate(count, reps)
+def _tally(report, hits, truth=None, hit="decide_k", miss="decide_h",
+           rate="decide_k_rate"):
+    """Count the replications where hits holds as outcome hit and the rest as
+    miss, record hit's rate, and the error rate of deciding K given the truth."""
+    count, reps = int(hits.sum()), len(hits)
+    report.verdict_counts[hit] = count
+    report.verdict_counts[miss] = reps - count
+    report.rates[rate] = rate_estimate(count, reps)
     if truth is not None:
         wrong = count if truth == "H" else reps - count
         report.rates["error_rate"] = rate_estimate(wrong, reps)
@@ -456,13 +449,13 @@ def _tally(report, decide_k, truth=None):
 
 def _log_posterior_odds(scenario, report, workers):
     """ln(pi_k / pi_h) + ln r_n per replication, for bayes and map."""
-    h, k = _require_pair(scenario)
+    h, k, truth = _require_pair(scenario)
     n = _int_param(scenario, "n", required=True, least=0)
     prior_h = _float_param(scenario, "prior-h", default=0.5)
     priors = Priors(prior_h)
     report.values["n"] = n
     report.values["prior_h"] = prior_h
-    truth, table = _truth_dist(scenario), log_ratio_table(h, k)
+    table = log_ratio_table(h, k)
     sums = _sum_log_lr(truth, table, n, scenario.reps, scenario.seed, workers, report)
     return sums + priors.log_odds
 
@@ -477,8 +470,7 @@ def _run_bayes(scenario, report, workers):
 
 def _run_np(scenario, report, workers):
     pair = scenario.gaussian
-    if pair is None:
-        raise ScenarioError(f"scenario {scenario.name}: needs a [gaussian] section")
+    _require(scenario, pair is not None, "needs a [gaussian] section")
     n = _int_param(scenario, "n", required=True)
     alpha = _float_param(scenario, "alpha")
     if alpha is None:
@@ -510,18 +502,14 @@ def _run_map(scenario, report, workers):
 def _run_hoeffding(scenario, report, workers):
     h = scenario.h
     truth = h if scenario.truth == "H" else scenario.k
-    if h is None or truth is None:
-        raise ScenarioError(
-            f"scenario {scenario.name}: needs [hypothesis-h], and [hypothesis-k] "
-            "for truth=K"
-        )
+    _require(scenario, h and truth,
+             "needs [hypothesis-h], and [hypothesis-k] for truth=K")
     require_same_alphabet(h, truth)
     n = _int_param(scenario, "n", required=True)
     delta = _float_param(scenario, "delta", default=0.05)
     radius = info_geometry.types_bound_radius(h.size, n, delta)
     h_probs = h.float_probs()
     log_h = np.where(h_probs > 0, np.log(np.where(h_probs > 0, h_probs, 1.0)), -np.inf)
-    reps = scenario.reps
     report.values["n"] = n
     report.values["delta"] = delta
     report.values["radius"] = radius
@@ -530,13 +518,9 @@ def _run_hoeffding(scenario, report, workers):
         counts = _row_counts(_step_indices(truth, u), h.size)
         return (_divergences(counts, n, log_h) > radius).reshape(u.shape[:-1])
 
-    rejected = np.zeros(reps, dtype=bool)
+    rejected = np.zeros(scenario.reps, dtype=bool)
     _replicate(scenario.seed, workers, rejected, n, "random", rejects, report)
-    count = int(rejected.sum())
-    report.verdicts = tuple(np.where(rejected, "reject_h", "accept_h").tolist())
-    report.verdict_counts["reject_h"] = count
-    report.verdict_counts["accept_h"] = reps - count
-    report.rates["reject_rate"] = rate_estimate(count, reps)
+    _tally(report, rejected, hit="reject_h", miss="accept_h", rate="reject_rate")
 
 
 def _row_counts(idx, size):
@@ -581,12 +565,10 @@ def _run_optional_stopping(scenario, report, workers):
     # each null gives fill, draw(block) -> (statistic at each look, ln-ratio
     # steps) per row, and cut, the statistic's significance threshold per look
     pair = scenario.gaussian
+    monitors = "optional stopping monitors a true null"
     if pair is not None:
-        if scenario.truth != "H" or pair.effect != 0:
-            raise ScenarioError(
-                f"scenario {scenario.name}: optional stopping monitors a true "
-                "null; use truth=H and a zero-effect gaussian pair"
-            )
+        _require(scenario, scenario.truth == "H" and pair.effect == 0,
+                 f"{monitors}; use truth=H and a zero-effect gaussian pair")
         mu, sigma = pair.mu_h, pair.sigma
         positive = (lambda v: 0 < v < math.inf, "positive and finite")
         eta = _float_param(scenario, "lr-eta", default=0.5 * sigma, check=positive)
@@ -604,16 +586,10 @@ def _run_optional_stopping(scenario, report, workers):
             return z_scores, (xs - mu) * eta / var - drift
 
     else:
-        if scenario.h is None or scenario.k is None or scenario.h.size != 2:
-            raise ScenarioError(
-                f"scenario {scenario.name}: finite-alphabet optional stopping "
-                "needs two-symbol [hypothesis-h] and [hypothesis-k]"
-            )
-        if scenario.truth != "H":
-            raise ScenarioError(
-                f"scenario {scenario.name}: optional stopping monitors a true null"
-            )
         h, k = scenario.h, scenario.k
+        _require(scenario, h and k and h.size == 2, "finite-alphabet optional stopping "
+                 "needs two-symbol [hypothesis-h] and [hypothesis-k]")
+        _require(scenario, scenario.truth == "H", monitors)
         theta = h.probs[1]
         # per look, the first count whose upper tail is significant, n_j + 1
         # if none is: a threshold on running counts
@@ -660,10 +636,8 @@ def run(scenario: Scenario, workers: int = 1) -> SimulationReport:
     """
     if workers < 1:
         raise InputError(f"workers must be at least 1, got {workers!r}")
-    if scenario.paradigm != "fisher" and scenario.reps < 1:
-        raise ScenarioError(
-            f"scenario {scenario.name}: paradigm {scenario.paradigm!r} needs reps >= 1"
-        )
+    ok = scenario.paradigm == "fisher" or scenario.reps >= 1
+    _require(scenario, ok, f"paradigm {scenario.paradigm!r} needs reps >= 1")
     report = SimulationReport(
         scenario=scenario.name,
         paradigm=scenario.paradigm,
@@ -722,31 +696,25 @@ def optional_stopping_alpha(
     against).
     """
     looks = tuple(int(n) for n in looks)
-    params = {"alpha": str(alpha), "looks": " ".join(str(n) for n in looks)}
-    if s is not None:
-        params["s"] = str(s)
-    scenario_kwargs = dict(
+    if not isinstance(null, (GaussianPair, FiniteDistribution)):
+        raise ScenarioError(f"cannot monitor a {type(null).__name__}")
+    finite = isinstance(null, FiniteDistribution)
+    if finite and alternative is None:
+        raise ScenarioError(
+            "a finite null needs the alternative the ratio monitor tests"
+        )
+    params = {"alpha": alpha, "looks": " ".join(map(str, looks)), "s": s,
+              "lr-eta": lr_eta}
+    report = run(Scenario(
         name="optional-stopping",
         paradigm="optional-stopping",
-        truth="H",
         reps=reps,
         seed=seed,
-        params=params,
-    )
-    if isinstance(null, GaussianPair):
-        if lr_eta is not None:
-            params["lr-eta"] = str(lr_eta)
-        scenario_kwargs["gaussian"] = null
-    elif isinstance(null, FiniteDistribution):
-        if alternative is None:
-            raise ScenarioError(
-                "a finite null needs the alternative the ratio monitor tests"
-            )
-        scenario_kwargs["h"] = null
-        scenario_kwargs["k"] = alternative
-    else:
-        raise ScenarioError(f"cannot monitor a {type(null).__name__}")
-    report = run(Scenario(**scenario_kwargs))
+        h=null if finite else None,
+        k=alternative if finite else None,
+        gaussian=None if finite else null,
+        params={key: str(v) for key, v in params.items() if v is not None},
+    ))
     return OptionalStoppingReport(
         looks=looks,
         alpha=report.values["alpha"],
@@ -779,7 +747,6 @@ def robbins_violation_probability(
     scenario = Scenario(
         name="robbins",
         paradigm="lr",
-        truth="H",
         reps=reps,
         seed=seed,
         h=h,

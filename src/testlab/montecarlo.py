@@ -27,11 +27,13 @@ def rate_estimate(successes: int, reps: int) -> MCEstimate:
 
 
 def mean_estimate(values: np.ndarray) -> MCEstimate:
-    """Sample mean with SE s/sqrt(reps); SE is 0 for a single replication."""
+    """Sample mean with SE s/sqrt(reps); SE is 0 for a single replication,
+    and nan when a value is infinite."""
     values = np.asarray(values, dtype=np.float64)
     reps = len(values)
     mean = float(values.mean())
     if reps < 2:
         return MCEstimate(mean, 0.0, reps)
-    se = float(values.std(ddof=1) / math.sqrt(reps))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        se = float(values.std(ddof=1) / math.sqrt(reps))
     return MCEstimate(mean, se, reps)

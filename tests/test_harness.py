@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from testlab import (
+    FiniteDistribution,
     GaussianPair,
     Seed,
     Verdict,
@@ -267,12 +268,13 @@ _ORDERED = {
 
 @pytest.mark.parametrize("name", sorted(_ORDERED))
 def test_per_replication_verdicts_do_not_depend_on_the_worker_count(monkeypatch, name):
-    # every CSV row sums over replications; only the verdicts keep their order.
-    # 1 100 replications make two chunks, one per worker, on pool threads
+    # every CSV row sums over replications; only the digests of the
+    # per-replication outputs keep their order. 1 100 replications make two
+    # chunks, one per worker, on pool threads
     monkeypatch.setattr(harness, "_POOL_WIDTH", 1)
-    serial = run_scenario(_ORDERED[name](), workers=1).verdicts
-    threaded = run_scenario(_ORDERED[name](), workers=2).verdicts
-    assert len(serial) == 1100 and len(set(serial)) > 1
+    serial = run_scenario(_ORDERED[name](), workers=1).replication_digests
+    threaded = run_scenario(_ORDERED[name](), workers=2).replication_digests
+    assert len(serial) == 1
     assert serial == threaded
 
 
@@ -400,6 +402,12 @@ def test_lr_identical_hypotheses_never_accept_k():
     assert report.rates["crossing_rate"].value == 0.0
 
 
+def test_lr_one_shot_at_s_one_accepts_k_on_a_zero_log_ratio():
+    # identical hypotheses give ln r_n = 0 = ln s, which accepts K, not H
+    report = run_scenario(small_lr_scenario(k=H_FAIR, params={"s": "1", "n": "5"}))
+    assert report.verdict_counts == {"accept_k": 400, "accept_h": 0, "continue": 0}
+
+
 def test_lr_one_shot_reports_ordered_trajectory_quantiles():
     scenario = small_lr_scenario(params={"s": "8", "n": "40"})
     report = run_scenario(scenario)
@@ -411,6 +419,32 @@ def test_lr_one_shot_reports_ordered_trajectory_quantiles():
         assert math.isfinite(q50)
     counts = report.verdict_counts
     assert counts["accept_k"] + counts["accept_h"] + counts["continue"] == 400
+
+
+_INF = math.inf
+
+
+@pytest.mark.parametrize("truth, seed, quantiles", [
+    # every path is 0 until it shows b, which H gives and K rules out; at the
+    # first checkpoint the ordered ln r are -inf, -inf, 0, 0, 0
+    ("H", 0, [[-_INF, -_INF, 0, 0, 0], [-_INF, -_INF, -_INF, 0, 0], [-_INF] * 3 + [0, 0]]),
+    # under K a path is +inf from its first c; at the first checkpoint q95
+    # lies 0.8 of the way from 0 to +inf, and q75 on the last 0
+    ("K", 3, [[0, 0, 0, 0, _INF], [0, 0, 0, _INF, _INF], [_INF] * 5]),
+])
+def test_lr_quantiles_of_infinite_paths_take_the_infinite_value(truth, seed, quantiles):
+    # numpy interpolates an infinite order statistic to nan, with warnings
+    # that this suite turns into errors
+    h = FiniteDistribution(("a", "b", "c"), (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+    k = FiniteDistribution(("a", "b", "c"), (Fraction(1, 2), Fraction(0), Fraction(1, 2)))
+    scenario = small_lr_scenario(truth=truth, reps=5, seed=Seed(seed), h=h, k=k,
+                                 params={"n": "3"})
+    report = run_scenario(scenario)
+    got = [[report.trajectory[f"log_lr_q{q:02d}@{cp}"] for q in (5, 25, 50, 75, 95)]
+           for cp in (1, 2, 3)]
+    assert got == quantiles
+    mean = report.rates["mean_log_lr_per_n"]
+    assert mean.value == (-_INF if truth == "H" else _INF) and math.isnan(mean.se)
 
 
 def test_lr_one_shot_reports_the_given_checkpoints():
@@ -629,14 +663,17 @@ def test_cross_paradigm_coherence_map_lr_and_margin():
         h=H_FAIR,
         k=K_THREEQ,
     )
-    map_report = run_scenario(
-        Scenario(name="m", paradigm="map", params={"n": "15", "prior-h": "0.5"}, **common)
+    map_scenario = Scenario(
+        name="m", paradigm="map", params={"n": "15", "prior-h": "0.5"}, **common
     )
-    lr_report = run_scenario(
-        Scenario(name="l", paradigm="lr", params={"n": "15", "s": "1"}, **common)
-    )
-    map_k = [v == "K" for v in map_report.verdicts]
-    lr_k = [v == "accept_k" for v in lr_report.verdicts]
+    lr_scenario = Scenario(name="l", paradigm="lr", params={"n": "15", "s": "1"}, **common)
+    # each run's per-replication ln r_n: map sums it, lr ends its path with it
+    [(map_sums, *_)] = _replicated(lambda: run_scenario(map_scenario), workers=1)
+    [(lr_paths, *_)] = _replicated(lambda: run_scenario(lr_scenario), workers=1)
+    map_k = list(map_sums > 0)  # equal priors add nothing to ln r_n
+    lr_k = list(lr_paths[:, -1] >= 0)  # ln s = 0
+    assert sum(map_k) == run_scenario(map_scenario).verdict_counts["decide_k"]
+    assert sum(lr_k) == run_scenario(lr_scenario).verdict_counts["accept_k"]
     # regenerate each replication's draws and apply the margin rule directly
     margin_k = []
     ties = 0

@@ -148,6 +148,41 @@ MUTANTS = (
         ("tests/test_harness.py::"
          "test_only_replications_at_least_pool_width_wide_run_on_pool_threads",),
     ),
+    # every scenario requirement raises through one check
+    Mutant(
+        "require-check-inverted",
+        "src/testlab/harness.py",
+        "    if not ok:\n",
+        "    if ok:\n",
+        ("tests/test_harness.py::test_scenario_errors_give_their_whole_message",),
+    ),
+    # lr's three outcomes are counted from two comparisons, continue is the
+    # rest, and at s = 1 a zero ln r_n accepts K
+    Mutant(
+        "lr-continue-counts-accept-h",
+        "src/testlab/harness.py",
+        "scenario.reps - accept_k - accept_h",
+        "scenario.reps - accept_k",
+        ("tests/test_harness.py::test_lr_one_shot_reports_ordered_trajectory_quantiles",),
+    ),
+    Mutant(
+        "lr-s-one-zero-accepts-h",
+        "src/testlab/harness.py",
+        "((sums <= -log_s) & (sums < log_s))",
+        "(sums <= -log_s)",
+        ("tests/test_harness.py::test_lr_one_shot_at_s_one_accepts_k_on_a_zero_log_ratio",),
+    ),
+    # bayes, map, np and hoeffding count their two outcomes through _tally
+    Mutant(
+        "tally-outcome-names-swapped",
+        "src/testlab/harness.py",
+        "    report.verdict_counts[hit] = count\n"
+        "    report.verdict_counts[miss] = reps - count\n",
+        "    report.verdict_counts[miss] = count\n"
+        "    report.verdict_counts[hit] = reps - count\n",
+        ("tests/test_golden.py::test_simulation_matches_golden_csv[inline-bayes-H]",
+         "tests/test_golden.py::test_simulation_matches_golden_csv[c11-universal-power]"),
+    ),
 )
 
 
