@@ -6,21 +6,19 @@ rounding altogether; float log-space is used everywhere Monte Carlo speed
 matters, and log-of-fraction helpers stay finite far below the double
 underflow threshold. Sampling is a pure function of
 (distribution, n, seed), so results never depend on scheduling or on how
-replications are split across workers.
+replications are split across workers. numpy and ctypes are imported by the
+functions that use them, so the exact layer starts without them.
 """
 
 from __future__ import annotations
 
-import ctypes
 import decimal
 import math
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
-from typing import Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import (
     AlphabetMismatchError,
@@ -29,6 +27,9 @@ from .errors import (
     InputError,
     UnknownSymbolError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Probability = Union[Fraction, float]
 
@@ -43,9 +44,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M32 = 2**32 - 1
 _BLOCK = 1024  # replication indices hashed per numpy pass
-# uint64 scalars, so that no mixed operation promotes a limb to float64
-_U1, _U32, _U63, _LO32 = map(np.uint64, (1, 32, 63, _M32))
-_MULT_LO, _MULT_HI = np.uint64(_PCG_MULT & 2**64 - 1), np.uint64(_PCG_MULT >> 64)
 
 
 def parse_probability(text: str) -> Fraction:
@@ -194,6 +192,8 @@ class FiniteDistribution:
         return tuple(x for x, p in zip(self.alphabet, self.probs) if p > 0)
 
     def float_probs(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([float(p) for p in self.probs], dtype=np.float64)
 
     @cached_property
@@ -203,6 +203,8 @@ class FiniteDistribution:
 
     @cached_property
     def _float_steps(self) -> np.ndarray:
+        import numpy as np
+
         last_support = max(i for i, p in enumerate(self.probs) if p > 0)
         return np.cumsum(self.float_probs())[:last_support]
 
@@ -348,6 +350,8 @@ class Seed:
 
     def rng(self, *path: int) -> np.random.Generator:
         """Generator for this stream, optionally extended by sub-counters."""
+        import numpy as np
+
         ss = np.random.SeedSequence(entropy=self.root, spawn_key=(self.stream, *path))
         return np.random.default_rng(ss)
 
@@ -356,6 +360,8 @@ class Seed:
         """The pool of SeedSequence(root, (stream,)) and the hash constant it
         mixes a further spawn-key word with: the root pads to 4 words, so
         16 + 4 per stream word hash calls come before it."""
+        import numpy as np
+
         pool = np.random.SeedSequence(self.root, spawn_key=(self.stream,)).pool
         words = max(1, -(-self.stream.bit_length() // 32))
         return tuple(map(int, pool)), _INIT_A * pow(_MULT_A, 16 + 4 * words, 2**32) & _M32
@@ -365,6 +371,8 @@ class Seed:
         generates for PCG64, one row per i of the block: the word i is mixed
         into each pool slot, then 8 words are hashed from the pool and paired
         little-endian. Updates run in place, so a block allocates little."""
+        import numpy as np
+
         pool, hc = self._stream_pool
         u32 = np.uint32
         i = np.arange(_BLOCK, dtype=u32) + block * _BLOCK
@@ -398,6 +406,8 @@ class Seed:
         views of the generator's memory. Spans past 2**32, whose spawn key
         takes two words, and a numpy whose PCG64 layout does not read back
         (see _pcg_word_order) build each generator with ``rng(i)``."""
+        import numpy as np
+
         order = _pcg_word_order()
         if order is None or span.stop > 2**32:
             yield from map(self.rng, span)
@@ -416,11 +426,15 @@ class Seed:
 def _mulhi(x, y):
     """The high 64 bits of each 128-bit product x * y of uint64s, summed
     from 32-bit halves so that no partial sum overflows."""
-    x0, x1, y0, y1 = x & _LO32, x >> _U32, y & _LO32, y >> _U32
+    import numpy as np
+
+    # uint64 scalars, so that no mixed operation promotes a limb to float64
+    mask, shift = np.uint64(_M32), np.uint64(32)
+    x0, x1, y0, y1 = x & mask, x >> shift, y & mask, y >> shift
     t = x0 * y0
-    u = x1 * y0 + (t >> _U32)
-    v = x0 * y1 + (u & _LO32)
-    return x1 * y1 + (u >> _U32) + (v >> _U32)
+    u = x1 * y0 + (t >> shift)
+    v = x0 * y1 + (u & mask)
+    return x1 * y1 + (u >> shift) + (v >> shift)
 
 
 def _pcg_seed_states(a, b, c, e):
@@ -430,11 +444,16 @@ def _pcg_seed_states(a, b, c, e):
     state = ((a:b) + inc) * _PCG_MULT + inc mod 2**128. A sum carries when
     its low word wraps below an addend. One row per element: state low,
     state high, inc low, inc high."""
-    inc_lo, inc_hi = e << _U1 | _U1, c << _U1 | e >> _U63
+    import numpy as np
+
+    # uint64 scalars, as in _mulhi
+    one, shift = np.uint64(1), np.uint64(63)
+    mult_lo, mult_hi = np.uint64(_PCG_MULT & 2**64 - 1), np.uint64(_PCG_MULT >> 64)
+    inc_lo, inc_hi = e << one | one, c << one | e >> shift
     lo = b + inc_lo
     hi = a + inc_hi + (lo < b)
-    hi = hi * _MULT_LO + lo * _MULT_HI + _mulhi(lo, _MULT_LO)
-    lo = lo * _MULT_LO
+    hi = hi * mult_lo + lo * mult_hi + _mulhi(lo, mult_lo)
+    lo = lo * mult_lo
     state_lo = lo + inc_lo
     state_hi = hi + inc_hi + (state_lo < lo)
     return np.stack((state_lo, state_hi, inc_lo, inc_hi), axis=-1)
@@ -445,6 +464,10 @@ def _pcg_views(bit_generator):
     pcg64_random_t (state, then inc) that the pcg64_state at
     ``ctypes.state_address`` points to, and the word after that pointer,
     which holds has_uint32 and uinteger."""
+    import ctypes
+
+    import numpy as np
+
     address = bit_generator.ctypes.state_address
     pcg = ctypes.c_void_p.from_address(address).value
     words = (ctypes.c_uint64 * 4).from_address(pcg)
@@ -459,6 +482,8 @@ def _pcg_word_order():
     high, low in numpy's emulated struct (MSVC). Known words are written
     over a generator with a cached 32-bit draw and read back through
     ``state``; None when neither order reads back with the draw cleared."""
+    import numpy as np
+
     bit_generator = np.random.PCG64(0)
     words, flags = _pcg_views(bit_generator)
     state, inc = 0x0123456789ABCDEF_FEDCBA9876543210, 0x1122334455667788_99AABBCCDDEEFF01
@@ -487,6 +512,8 @@ def _step_indices(d: FiniteDistribution, u: np.ndarray) -> np.ndarray:
     about 40 symbols. Counts are the smallest unsigned type that holds
     them, added as bytes; look them up with ``take``, which reads them
     without first widening them to intp as ``table[idx]`` does."""
+    import numpy as np
+
     steps = d._float_steps
     idx = np.zeros(u.shape, np.min_scalar_type(len(steps)))
     for step in steps:
@@ -496,6 +523,8 @@ def _step_indices(d: FiniteDistribution, u: np.ndarray) -> np.ndarray:
 
 def _finite_indices(d: FiniteDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
     """n iid alphabet indices drawn from d with rng, as intp."""
+    import numpy as np
+
     return _step_indices(d, rng.random(n)).astype(np.intp)
 
 

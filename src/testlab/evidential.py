@@ -21,9 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .dist import (
     FiniteDistribution,
@@ -36,6 +34,9 @@ from .dist import (
     require_same_alphabet,
 )
 from .errors import ImpossibleObservationError, InputError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Likelihood-ratio thresholds commonly treated as "moderate" and "strong".
 ROYALL_THRESHOLDS = (8.0, 16.0)
@@ -306,6 +307,8 @@ def log_ratio_table(h: FiniteDistribution, k: FiniteDistribution) -> np.ndarray:
     Symbols outside both supports get NaN; they can never be drawn, so a
     NaN surfacing downstream marks a logic error rather than data.
     """
+    import numpy as np
+
     require_same_alphabet(h, k)
     with np.errstate(invalid="ignore"):
         return np.subtract(k.log_probs, h.log_probs)

@@ -43,7 +43,8 @@ owns every replication loop and seed stream: optional_stopping_alpha and
 robbins_violation_probability wrap ``run``, evidence_rate shares the
 bayes/map ln r_n sampler, and family_wise_error uses ``_replicate``; each
 runner only names its draw (width values, uniform or normal) and its
-reduce of a block of draws.
+reduce of a block of draws. numpy and the thread pool are imported by the
+functions that use them, so loading a scenario needs neither.
 """
 
 from __future__ import annotations
@@ -53,14 +54,11 @@ import csv
 import io
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 from . import fisher, info_geometry, neyman_pearson
 from .dist import (
@@ -111,14 +109,10 @@ class Scenario:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.paradigm not in PARADIGMS:
-            raise ScenarioError(
-                f"unknown paradigm {self.paradigm!r}; expected one of {PARADIGMS}"
-            )
-        if self.truth not in ("H", "K"):
-            raise ScenarioError(f"truth must be H or K, got {self.truth!r}")
-        if self.reps < 0:
-            raise ScenarioError(f"reps must be nonnegative, got {self.reps}")
+        _require(self, self.paradigm in PARADIGMS,
+                 f"unknown paradigm {self.paradigm!r}; expected one of {PARADIGMS}")
+        _require(self, self.truth in ("H", "K"), f"truth must be H or K, got {self.truth!r}")
+        _require(self, self.reps >= 0, f"reps must be nonnegative, got {self.reps}")
 
 
 @dataclass
@@ -298,6 +292,8 @@ def _for_each_rep(reps: int, workers: int, body) -> None:
     if workers <= 1 or len(spans) <= 1:
         list(map(body, spans))
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(body, spans))
 
@@ -320,6 +316,8 @@ def _replicate(seed, workers, out, width, fill, reduce, report=None):
     report given gets the sha256 of the filled out appended to its
     replication_digests.
     """
+    import numpy as np
+
     rows = max(1, _CELLS // max(width, 1))
     fill = getattr(np.random.Generator, fill)
 
@@ -370,6 +368,8 @@ def _run_fisher(scenario, report, workers):
 
 
 def _run_lr(scenario, report, workers):
+    import numpy as np
+
     h, k, truth = _require_pair(scenario)
     s = _float_param(scenario, "s", default=8.0, check=_THRESHOLD)
     table = log_ratio_table(h, k)
@@ -419,6 +419,8 @@ def _run_lr(scenario, report, workers):
 def _percentiles(x, qs):
     """np.percentile(x, qs), save that an infinite order statistic with positive
     weight (the lower one always has some) gives that value, not numpy's nan."""
+    import numpy as np
+
     with np.errstate(invalid="ignore"):
         out = np.percentile(x, qs)
     lower, higher = (np.percentile(x, qs, method=m) for m in ("lower", "higher"))
@@ -427,6 +429,7 @@ def _percentiles(x, qs):
 
 def _sum_log_lr(truth, table, n, reps, seed, workers, report=None):
     """ln r_n of n draws from truth per replication; table[j] = ln P_K/P_H."""
+    import numpy as np
 
     def sums(u):
         return table.take(_step_indices(truth, u)).sum(axis=-1)
@@ -461,6 +464,8 @@ def _log_posterior_odds(scenario, report, workers):
 
 
 def _run_bayes(scenario, report, workers):
+    import numpy as np
+
     log_odds = _log_posterior_odds(scenario, report, workers)
     with np.errstate(over="ignore"):  # exp overflow saturates to 0/1 correctly
         posterior = 1.0 / (1.0 + np.exp(-log_odds))
@@ -469,6 +474,8 @@ def _run_bayes(scenario, report, workers):
 
 
 def _run_np(scenario, report, workers):
+    import numpy as np
+
     pair = scenario.gaussian
     _require(scenario, pair is not None, "needs a [gaussian] section")
     n = _int_param(scenario, "n", required=True)
@@ -500,6 +507,8 @@ def _run_map(scenario, report, workers):
 
 
 def _run_hoeffding(scenario, report, workers):
+    import numpy as np
+
     h = scenario.h
     truth = h if scenario.truth == "H" else scenario.k
     _require(scenario, h and truth,
@@ -526,6 +535,8 @@ def _run_hoeffding(scenario, report, workers):
 def _row_counts(idx, size):
     """How often each of size symbols shows in each row of indices idx,
     one row when idx is 1-D."""
+    import numpy as np
+
     idx = np.atleast_2d(idx)
     rows = len(idx)
     offsets = size * np.arange(rows)[:, None]
@@ -538,6 +549,8 @@ def _divergences(counts, n, log_h):
     zero-mass symbols shows. Each row is summed as np.sum sums its nonzero
     terms alone: a zero-padded sum of 8 or more terms rounds differently,
     so only rows that show every symbol are summed as a block."""
+    import numpy as np
+
     freqs = counts / n
     with np.errstate(divide="ignore", invalid="ignore"):  # the unseen are nan
         terms = freqs * (np.log(freqs) - log_h)
@@ -551,6 +564,8 @@ def _divergences(counts, n, log_h):
 
 
 def _run_optional_stopping(scenario, report, workers):
+    import numpy as np
+
     alpha = _float_param(scenario, "alpha", default=0.05, check=_LEVEL)
     looks = _increasing_param(scenario, "looks", required=True)
     s = _float_param(scenario, "s", default=1.0 / alpha, check=_THRESHOLD)
@@ -634,6 +649,8 @@ def run(scenario: Scenario, workers: int = 1) -> SimulationReport:
     different worker count, yields byte-identical CSV apart from the
     wall-clock row. A scenario too large for memory is a ScenarioError.
     """
+    import numpy  # noqa: F401 - so that its first import is not timed
+
     if workers < 1:
         raise InputError(f"workers must be at least 1, got {workers!r}")
     ok = scenario.paradigm == "fisher" or scenario.reps >= 1
@@ -693,7 +710,8 @@ def optional_stopping_alpha(
     look. ``null`` is a zero-effect GaussianPair (the ratio monitor then
     uses the effect ``lr_eta``, default half a sigma) or a two-symbol
     FiniteDistribution (supply the ``alternative`` the monitor tests
-    against).
+    against); either argument given with the other kind of null is a
+    ScenarioError.
     """
     looks = tuple(int(n) for n in looks)
     if not isinstance(null, (GaussianPair, FiniteDistribution)):
@@ -703,6 +721,10 @@ def optional_stopping_alpha(
         raise ScenarioError(
             "a finite null needs the alternative the ratio monitor tests"
         )
+    if finite and lr_eta is not None:
+        raise ScenarioError("lr_eta applies only to a Gaussian null")
+    if not finite and alternative is not None:
+        raise ScenarioError("alternative applies only to a finite null")
     params = {"alpha": alpha, "looks": " ".join(map(str, looks)), "s": s,
               "lr-eta": lr_eta}
     report = run(Scenario(
@@ -793,6 +815,8 @@ def family_wise_error(
     Splitting the budget keeps the estimated FWER under family_alpha, and
     the analytic per-test power falls as m grows: the cost of adjustment.
     """
+    import numpy as np
+
     if m < 1 or reps < 1:
         raise ScenarioError("m and reps must be at least 1")
     per_test = neyman_pearson.adjust_alpha(family_alpha, m, scheme)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -29,6 +31,8 @@ def rate_estimate(successes: int, reps: int) -> MCEstimate:
 def mean_estimate(values: np.ndarray) -> MCEstimate:
     """Sample mean with SE s/sqrt(reps); SE is 0 for a single replication,
     and nan when a value is infinite."""
+    import numpy as np
+
     values = np.asarray(values, dtype=np.float64)
     reps = len(values)
     mean = float(values.mean())

@@ -1,4 +1,5 @@
 import decimal
+import json
 import math
 import os
 import random
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +27,8 @@ from testlab import (
     empirical,
     gaussian_cdf,
     gaussian_quantile,
+    load_scenario,
+    run_scenario,
     sample,
 )
 from testlab.errors import (
@@ -405,20 +409,88 @@ def test_replication_reseed_writes_the_state_in_place_on_linux(monkeypatch):
     assert [gen.bit_generator.state for gen in seed._rep_rngs(span)] == want
 
 
-def test_importing_the_cli_leaves_numpy_random_unloaded():
-    # numpy.random costs every process megabytes of resident memory; the
-    # reseed's layout probe runs on first use, not at import
-    code = (
-        "import sys, testlab.cli; "
-        "print(sorted({'numpy.random', 'numpy.ctypeslib'} & set(sys.modules)))"
-    )
+PAPER_SUITE = Path(__file__).resolve().parents[1] / "paper-suite"
+
+# the exact subcommands, with {h}, {k} and {data} for files the test writes
+_EXACT_COMMANDS = (
+    "fisher --n 20 --k 15",
+    "lr --h-dist {h} --k-dist {k} --data {data}",
+    "bayes --h-dist {h} --k-dist {k} --data {data}",
+    "map --h-dist {h} --k-dist {k} {data}",
+    "kl {h} {k}",
+    "hoeffding --hypothesis {h} {data}",
+    "power --alpha 0.05 --beta 0.2 --eta 0.5",
+    "np --mu-h 0 --mu-k 1 --n 9",
+)
+
+
+def _python(code, *argv):
+    """stdout of a fresh interpreter running code with argv, testlab on its path."""
     src = str(Path(dist.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", code, *map(str, argv)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded(tmp_path):
+    # numpy's import takes longer than the rest of a CLI start and megabytes
+    # of resident memory, ctypes and concurrent.futures (with logging)
+    # milliseconds more: importing testlab, loading scenarios and every exact
+    # subcommand load none of them; the Monte Carlo code imports them on use
+    files = {"h": "a\t1/2\nb\t1/2\n", "k": "a\t1/4\nb\t3/4\n", "data": "a\na\nb\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths = {name: tmp_path / name for name in files}
+    commands = [[arg.format(**paths) for arg in c.split()] for c in _EXACT_COMMANDS]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import testlab, testlab.cli, testlab.files, testlab.harness\n"
+        "from pathlib import Path\n"
+        "for path in sorted(Path(sys.argv[1]).glob('*.scenario')):\n"
+        "    testlab.harness.load_scenario(path)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [testlab.cli.main(argv) for argv in json.loads(sys.argv[2])]\n"
+        "print(codes, sorted({'numpy', 'ctypes', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    assert _python(code, PAPER_SUITE, json.dumps(commands)).strip() == f"{[0] * 8} []"
+
+
+def test_two_threads_importing_numpy_first_give_the_single_thread_csv():
+    # each thread's harness.run is the process's first use of numpy, dist's
+    # reseed and its ctypes views; numpy is loaded before run reads the clock
+    path, reps = PAPER_SUITE / "c04-ratio-crossing-s8.scenario", 300
+    code = (
+        "import json, sys, threading, time, types\n"
+        "from dataclasses import replace\n"
+        "from testlab import harness\n"
+        "clock_reads = []\n"
+        "def perf_counter():\n"
+        "    clock_reads.append('numpy' in sys.modules)\n"
+        "    return time.perf_counter()\n"
+        "harness.time = types.SimpleNamespace(perf_counter=perf_counter)\n"
+        "scenario = replace(harness.load_scenario(sys.argv[1]), reps=int(sys.argv[2]))\n"
+        "barrier, out = threading.Barrier(2), [None, None]\n"
+        "def run(i):\n"
+        "    barrier.wait()\n"
+        "    out[i] = harness.run(scenario).to_csv()\n"
+        "unloaded = 'numpy' not in sys.modules\n"
+        "threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join()\n"
+        "print(json.dumps([unloaded, clock_reads] + out))\n"
+    )
+    unloaded, clock_reads, *csvs = json.loads(_python(code, path, reps))
+    assert unloaded
+    assert clock_reads == [True] * 4
+    want = replace(load_scenario(path), reps=reps)
+    want = [l for l in run_scenario(want).to_csv().splitlines() if ",wall_clock_s," not in l]
+    for text in csvs:
+        assert [l for l in text.splitlines() if ",wall_clock_s," not in l] == want
 
 
 def test_point_mass_sampling():

@@ -101,9 +101,18 @@ _OS = "[params]\nalpha = 0.05\nlooks = 5 10\n"
 # each scenario file that fails, and the whole message it fails with; {path}
 # stands for the file's path
 _SCENARIO_ERRORS = {
-    "truth": ("[scenario]\nparadigm = lr\ntruth = X\n", "truth must be H or K, got 'X'"),
+    "truth": (
+        "[scenario]\nparadigm = lr\ntruth = X\n",
+        "scenario truth: truth must be H or K, got 'X'",
+    ),
     "negative-reps": (
-        "[scenario]\nparadigm = lr\nreps = -1\n", "reps must be nonnegative, got -1"
+        "[scenario]\nparadigm = lr\nreps = -1\n",
+        "scenario negative-reps: reps must be nonnegative, got -1",
+    ),
+    "unknown-paradigm": (
+        "[scenario]\nparadigm = astrology\n",
+        "scenario unknown-paradigm: unknown paradigm 'astrology'; expected one of "
+        "('fisher', 'lr', 'bayes', 'np', 'map', 'hoeffding', 'optional-stopping')",
     ),
     "unparsable": (
         "garbage\n",
@@ -566,13 +575,21 @@ def test_optional_stopping_alpha_runs_the_scenario_it_describes(null, extra, par
         )
 
 
+# a null, or (null, further keyword arguments), and the error it raises
 @pytest.mark.parametrize("null, message", [
     (H_FAIR, "a finite null needs the alternative the ratio monitor tests"),
     (0.5, "cannot monitor a float"),
+    ((H_FAIR, {"alternative": K_THREEQ, "lr_eta": -5.0}),
+     "lr_eta applies only to a Gaussian null"),
+    ((GaussianPair(0, 0, 1), {"alternative": K_THREEQ}),
+     "alternative applies only to a finite null"),
 ])
 def test_optional_stopping_alpha_input_errors(null, message):
+    null, extra = null if isinstance(null, tuple) else (null, {})
     with pytest.raises(ScenarioError, match=message):
-        optional_stopping_alpha(null, alpha=0.05, looks=(10, 20), reps=5, seed=Seed(7))
+        optional_stopping_alpha(
+            null, alpha=0.05, looks=(10, 20), reps=5, seed=Seed(7), **extra
+        )
 
 
 def test_optional_stopping_rejects_nonnull_setup():

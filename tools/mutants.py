@@ -148,13 +148,15 @@ MUTANTS = (
         ("tests/test_harness.py::"
          "test_only_replications_at_least_pool_width_wide_run_on_pool_threads",),
     ),
-    # every scenario requirement raises through one check
+    # every scenario requirement raises through one check, the Scenario's own
+    # fields included, so inverted it rejects every valid scenario; the test
+    # named is in a module that builds no Scenario while it is collected
     Mutant(
         "require-check-inverted",
         "src/testlab/harness.py",
         "    if not ok:\n",
         "    if ok:\n",
-        ("tests/test_harness.py::test_scenario_errors_give_their_whole_message",),
+        ("tests/test_cli.py::test_simulate_writes_csv",),
     ),
     # lr's three outcomes are counted from two comparisons, continue is the
     # rest, and at s = 1 a zero ln r_n accepts K
@@ -182,6 +184,25 @@ MUTANTS = (
         "    report.verdict_counts[hit] = reps - count\n",
         ("tests/test_golden.py::test_simulation_matches_golden_csv[inline-bayes-H]",
          "tests/test_golden.py::test_simulation_matches_golden_csv[c11-universal-power]"),
+    ),
+    # importing testlab and running an exact subcommand load no numpy; the
+    # Monte Carlo functions import it on first use
+    Mutant(
+        "numpy-imported-at-harness-top",
+        "src/testlab/harness.py",
+        "from . import fisher, info_geometry, neyman_pearson\n",
+        "import numpy as np\n\nfrom . import fisher, info_geometry, neyman_pearson\n",
+        ("tests/test_dist.py::test_importing_the_cli_leaves_numpy_random_unloaded",),
+    ),
+    # run loads numpy before it starts the clock, so the first simulate in a
+    # process does not report numpy's import as its wall-clock time
+    Mutant(
+        "numpy-import-timed-by-run",
+        "src/testlab/harness.py",
+        "    import numpy  # noqa: F401 - so that its first import is not timed\n",
+        "",
+        ("tests/test_dist.py::"
+         "test_two_threads_importing_numpy_first_give_the_single_thread_csv",),
     ),
 )
 
