@@ -81,7 +81,7 @@ def p_value(d: FiniteDistribution, x, direction: TailDirection) -> PValueReport:
             raise UnorderedAlphabetError(
                 "two-sided tails need signed numeric labels"
             ) from None
-    else:  # pragma: no cover
+    else:
         raise InputError(f"unknown direction {direction!r}")
 
     p = sum(d.probs[i] for i in tail)

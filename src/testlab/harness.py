@@ -17,17 +17,12 @@ Scenario keys
 [scenario]    name, paradigm, truth (H|K), reps, seed-root, seed-stream
 [hypothesis-h] / [hypothesis-k]   symbol = probability (decimal/fraction)
 [gaussian]    mu-h, mu-k, sigma
-[params]      paradigm-specific:
-  fisher             n, k, theta, direction (ge|le|abs), level
-                     -- or observed = SYMBOL with [hypothesis-h]
-  lr                 s, horizon (sequential monitor)  |  n (one-shot),
-                     checkpoints (trajectory summary points, default
-                     quarters of n)
-  bayes              n, prior-h
-  np                 n, alpha (omit alpha for the midpoint rule)
-  map                n, prior-h
-  hoeffding          n, delta
-  optional-stopping  alpha, looks (space-separated), s, lr-eta
+[params]      the keys _RUNNERS lists for the paradigm
+Any other section, key or param is a ScenarioError, and so is a key the
+paradigm's mode would ignore: fisher's observed = SYMBOL (with
+[hypothesis-h]) excludes n, k and theta; lr's horizon (sequential monitor)
+excludes n and checkpoints (one-shot trajectory points, default quarters of
+n); lr-eta needs a [gaussian] null. np without alpha uses the midpoint rule.
 
 Sizes (horizon, n) are at least 1 (bayes/map n at least 0), s is finite
 and at least 1, optional-stopping alpha lies in (0, 1) and lr-eta is
@@ -77,16 +72,6 @@ from .errors import InfiniteDivergenceError, InputError, ScenarioError, TestlabE
 from .evidential import Priors, log_ratio_table
 from .montecarlo import MCEstimate, mean_estimate, rate_estimate
 
-PARADIGMS = (
-    "fisher",
-    "lr",
-    "bayes",
-    "np",
-    "map",
-    "hoeffding",
-    "optional-stopping",
-)
-
 # fixed chunks, so the worker count cannot reorder anything; a chunk is one
 # block of seed words, hashed once
 _CHUNK = _BLOCK
@@ -113,6 +98,10 @@ class Scenario:
                  f"unknown paradigm {self.paradigm!r}; expected one of {PARADIGMS}")
         _require(self, self.truth in ("H", "K"), f"truth must be H or K, got {self.truth!r}")
         _require(self, self.reps >= 0, f"reps must be nonnegative, got {self.reps}")
+        keys = _RUNNERS[self.paradigm][1]
+        for key in self.params:
+            _require(self, key in keys,
+                     f"unknown param {key!r}; {self.paradigm} reads {', '.join(keys)}")
 
 
 @dataclass
@@ -174,6 +163,15 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"cannot parse scenario {path}: {exc}") from exc
     if "scenario" not in parser:
         raise ScenarioError(f"{path}: missing [scenario] section")
+    known = {"scenario": ("name", "paradigm", "truth", "reps", "seed-root", "seed-stream"),
+             "gaussian": ("mu-h", "mu-k", "sigma"), "hypothesis-h": None,
+             "hypothesis-k": None, "params": None}  # None: checked where read
+    for section in parser.sections():
+        if section not in known:
+            raise ScenarioError(f"{path}: unknown section [{section}]")
+        for key in parser[section] if known[section] else ():
+            if key not in known[section]:
+                raise ScenarioError(f"{path}: unknown key {key!r} in [{section}]")
     meta = parser["scenario"]
     name = meta.get("name", Path(path).stem)
     paradigm = meta.get("paradigm", "")
@@ -342,21 +340,20 @@ def _replicate(seed, workers, out, width, fill, reduce, report=None):
 
 
 def _run_fisher(scenario, report, workers):
+    params = scenario.params
     level = _float_param(scenario, "level", default=0.05)
-    if "observed" in scenario.params:
+    observed = params.get("observed")
+    direction = params.get("direction", "ge" if observed is None else "le")
+    direction = fisher.TailDirection.parse(direction)
+    if observed is not None:
         _require(scenario, scenario.h, "observed-symbol mode needs [hypothesis-h]")
-        direction = fisher.TailDirection.parse(
-            scenario.params.get("direction", "le")
-        )
-        rep = fisher.p_value(scenario.h, scenario.params["observed"], direction)
+        _require(scenario, not {"n", "k", "theta"} & params.keys(),
+                 "'n', 'k' and 'theta' do not apply with 'observed'")
+        rep = fisher.p_value(scenario.h, observed, direction)
     else:
         n = _int_param(scenario, "n", required=True)
         k = _int_param(scenario, "k", required=True, least=0)
-        theta = scenario.params.get("theta", "1/2")
-        direction = fisher.TailDirection.parse(
-            scenario.params.get("direction", "ge")
-        )
-        rep = fisher.binomial_tail(n, k, theta, direction)
+        rep = fisher.binomial_tail(n, k, params.get("theta", "1/2"), direction)
     report.values["direction"] = rep.direction.value
     report.values["p_exact"] = rep.p
     report.values["p_float"] = float(rep.p)
@@ -378,6 +375,8 @@ def _run_lr(scenario, report, workers):
 
     horizon = _int_param(scenario, "horizon")
     if horizon is not None:
+        _require(scenario, not {"n", "checkpoints"} & scenario.params.keys(),
+                 "'n' and 'checkpoints' do not apply with 'horizon'")
         report.values["horizon"] = horizon
         report.values["crossing_bound"] = 1.0 / s
 
@@ -605,6 +604,8 @@ def _run_optional_stopping(scenario, report, workers):
         _require(scenario, h and k and h.size == 2, "finite-alphabet optional stopping "
                  "needs two-symbol [hypothesis-h] and [hypothesis-k]")
         _require(scenario, scenario.truth == "H", monitors)
+        _require(scenario, "lr-eta" not in scenario.params,
+                 "'lr-eta' applies only to a gaussian null")
         theta = h.probs[1]
         # per look, the first count whose upper tail is significant, n_j + 1
         # if none is: a threshold on running counts
@@ -631,15 +632,17 @@ def _run_optional_stopping(scenario, report, workers):
             report.rates[f"{name}@{n_j}"] = rate_estimate(int(count), scenario.reps)
 
 
+# each paradigm's runner and the [params] keys it reads; Scenario rejects others
 _RUNNERS = {
-    "fisher": _run_fisher,
-    "lr": _run_lr,
-    "bayes": _run_bayes,
-    "np": _run_np,
-    "map": _run_map,
-    "hoeffding": _run_hoeffding,
-    "optional-stopping": _run_optional_stopping,
+    "fisher": (_run_fisher, ("n", "k", "theta", "direction", "level", "observed")),
+    "lr": (_run_lr, ("s", "horizon", "n", "checkpoints")),
+    "bayes": (_run_bayes, ("n", "prior-h")),
+    "np": (_run_np, ("n", "alpha")),
+    "map": (_run_map, ("n", "prior-h")),
+    "hoeffding": (_run_hoeffding, ("n", "delta")),
+    "optional-stopping": (_run_optional_stopping, ("alpha", "looks", "s", "lr-eta")),
 }
+PARADIGMS = tuple(_RUNNERS)
 
 
 def run(scenario: Scenario, workers: int = 1) -> SimulationReport:
@@ -665,7 +668,7 @@ def run(scenario: Scenario, workers: int = 1) -> SimulationReport:
     )
     started = time.perf_counter()
     try:
-        _RUNNERS[scenario.paradigm](scenario, report, int(workers))
+        _RUNNERS[scenario.paradigm][0](scenario, report, int(workers))
     except ScenarioError:
         raise
     except TestlabError as exc:

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import decimal
 import io
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import pytest
@@ -17,9 +19,30 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import testlab.cli as cli
-from testlab import binomial_tail
+from testlab import (
+    harness,
+    Divergence,
+    EmpiricalDistribution,
+    FiniteDistribution,
+    GaussianPair,
+    PValueReport,
+    Seed,
+    TailDirection,
+    binomial_tail,
+    empirical,
+    errors,
+    evidence_rate,
+    family_wise_error,
+    grade,
+    lr_threshold_as_kl_margin,
+    np_test,
+    p_value,
+    robbins_violation_probability,
+)
 from testlab.cli import main
-from testlab.dist import parse_probability
+from testlab.dist import as_probability, parse_probability, sample
+from testlab.files import read_distribution
+from testlab.info_geometry import types_bound_radius
 
 PAPER_SUITE = Path(__file__).resolve().parents[1] / "paper-suite"
 
@@ -417,6 +440,89 @@ def test_input_error_exits_1(capsys):
     rc, _, err = run_cli(capsys, "power", "--alpha", "0.05")
     assert rc == 1
     assert "error" in err
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+def _command(*argv):
+    args = cli._shared_parser().parse_args(list(argv))
+    return args.func(args)
+
+
+_H = FiniteDistribution(("a", "b"), ("1/2", "1/2"))
+_K = FiniteDistribution(("a", "b"), ("3/4", "1/4"))
+# each input error no other test reaches: a call given a scratch file path, and
+# the whole message it raises, {path} standing for that path
+_INPUT_ERRORS = {
+    "parse-probability": (lambda path: parse_probability("x"), "cannot parse probability 'x'"),
+    "boolean-probability": (lambda path: as_probability(True), "booleans are not probabilities"),
+    "list-probability": (lambda path: as_probability([1]),
+                         "cannot interpret [1] as a probability"),
+    "empty-alphabet": (lambda path: FiniteDistribution((), ()), "alphabet must not be empty"),
+    "probability-count": (lambda path: FiniteDistribution(("a",), ("1/2", "1/2")),
+                          "1 symbols but 2 probabilities"),
+    "unhashable-label": (lambda path: FiniteDistribution(([1], [2]), ("1/2", "1/2")),
+                         "alphabet labels must be hashable"),
+    "infinite-probability": (lambda path: FiniteDistribution(("a", "b"), (math.inf, 0.5)),
+                             "non-finite probability inf"),
+    "count-per-symbol": (lambda path: EmpiricalDistribution(("a", "b"), (1,), 1),
+                         "one count per alphabet symbol required"),
+    "negative-count": (lambda path: EmpiricalDistribution(("a",), (-1,), -1),
+                       "counts must be nonnegative"),
+    "count-unknown-symbol": (lambda path: empirical(["a"], ["a"]).count("z"),
+                             "symbol 'z' not in alphabet"),
+    "sample-a-number": (lambda path: sample(Fraction(1, 2), 3, Seed(0)),
+                        "cannot sample from Fraction"),
+    "distribution-line-without-tab": (
+        lambda path: read_distribution(_write(path, "a 1/2\n")),
+        "{path}: expected 'symbol<TAB>probability', got 'a 1/2'",
+    ),
+    "empty-distribution-file": (lambda path: read_distribution(_write(path, "# none\n")),
+                                "{path}: distribution file is empty"),
+    "negative-divergence": (lambda path: Divergence(-1.0),
+                            "divergence must be nonnegative, got -1.0"),
+    "infinite-margin-threshold": (lambda path: lr_threshold_as_kl_margin(_H, _K, ["a"], math.inf),
+                                  "threshold must be finite, got inf"),
+    "radius-one-symbol": (lambda path: types_bound_radius(1, 10, 0.05),
+                          "radius needs an alphabet of at least two symbols"),
+    "radius-n-zero": (lambda path: types_bound_radius(2, 0, 0.05), "n must be at least 1, got 0"),
+    "radius-delta-one": (lambda path: types_bound_radius(2, 10, 1.0),
+                         "delta must be in (0, 1), got 1.0"),
+    "np-test-n-zero": (lambda path: np_test(GaussianPair(0, 1, 1), 0, 0.05),
+                       "n must be at least 1, got 0"),
+    "inconsistent-report": (
+        lambda path: PValueReport(Fraction(1, 2), TailDirection.GREATER_EQUAL, Fraction(3, 4), 1),
+        "inconsistent report: point=Fraction(3, 4) p=Fraction(1, 2)",
+    ),
+    "p-value-direction-string": (lambda path: p_value(_H, "a", "ge"), "unknown direction 'ge'"),
+    "robbins-threshold-one": (
+        lambda path: robbins_violation_probability(_H, _K, 1.0, 10, 5, Seed(0)),
+        "threshold must exceed 1, got 1.0",
+    ),
+    "evidence-rate-n-zero": (lambda path: evidence_rate(_H, _K, 0, 5, Seed(0)),
+                             "n and reps must be at least 1"),
+    "family-wise-m-zero": (lambda path: family_wise_error(0, 0.05, "bonferroni", 5, Seed(0)),
+                           "m and reps must be at least 1"),
+    "grade-nan": (lambda path: grade(math.nan), "likelihood ratio is NaN"),
+    "fisher-dist-without-observed": (
+        lambda path: _command("fisher", "--dist", str(_write(path, "a\t1\n"))),
+        "--dist needs --observed",
+    ),
+    "fisher-without-k": (lambda path: _command("fisher", "--n", "5"),
+                         "either --dist/--observed or --n/--k/--theta"),
+}
+
+
+@pytest.mark.parametrize("case", list(_INPUT_ERRORS))
+def test_input_errors_give_their_whole_message(tmp_path, case):
+    call, message = _INPUT_ERRORS[case]
+    path = tmp_path / "input.txt"
+    with pytest.raises((errors.TestlabError, cli._CliInputError)) as caught:
+        call(path)
+    assert str(caught.value) == message.format(path=path)
 
 
 def test_usage_error_exits_1(capsys):
@@ -836,3 +942,103 @@ def _check_fisher_csv(argv, out):
     assert abs(p_float - want) <= 1e-11 * want + 5e-324
     if p_float == 0 and want > 0:
         assert abs(float(row["log10_p"]) - mpmath.log10(want)) <= 1e-11 * abs(mpmath.log10(want))
+
+
+# --- fuzz: generated scenario files never exit 2 ---------------------------------
+
+_USUALLY = st.sampled_from([True] * 7 + [False])
+
+
+def _mostly(valid, edge):
+    return _USUALLY.flatmap(lambda ok: valid if ok else st.sampled_from(edge))
+
+
+_LEVEL_TEXT = _mostly(st.sampled_from(["0.05", "0.5"]),
+                      ["0", "1", "5e-324", "0.9999999999999999", "nan"])
+# strictly increasing from 1, and at times repeated, descending or from 0
+_INCREASING = st.sets(st.integers(1, 2000), min_size=1, max_size=4).map(sorted)
+_MARKS = st.one_of(_INCREASING, _INCREASING, st.lists(st.integers(0, 2000), max_size=4))
+_VALUES = {
+    "n": _mostly(st.integers(1, 2000).map(str), ["0", "-1", "1.5"]),
+    "k": _mostly(st.integers(0, 40).map(str), ["-1", "2001"]),
+    "horizon": _mostly(st.integers(1, 2000).map(str), ["0", "-1"]),
+    "s": _mostly(st.sampled_from(["1", "8", "1.5"]), ["inf", "nan", "0"]),
+    "alpha": _LEVEL_TEXT, "delta": _LEVEL_TEXT, "level": _LEVEL_TEXT, "prior-h": _LEVEL_TEXT,
+    "theta": _mostly(st.sampled_from(["1/2", "1/3", "0.25"]), ["0", "1", "2", "nan"]),
+    "direction": _mostly(st.sampled_from(["ge", "le", "abs"]), ["up"]),
+    "observed": _mostly(st.sampled_from(["a", "b"]), ["z"]),
+    "looks": _MARKS.map(lambda v: " ".join(map(str, v))),
+    "lr-eta": _mostly(st.sampled_from(["0.5", "1e-300"]), ["-5", "inf", "nan"]),
+}
+_VALUES["checkpoints"] = _VALUES["looks"]
+# the keys a mode ignores, which most drawn files leave out
+_OTHER_MODE = {"horizon": ("n", "checkpoints"), "observed": ("n", "k", "theta")}
+
+
+@st.composite
+def _hypothesis_section(draw, name, size):
+    size = draw(size)
+    weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    weights[0] += sum(weights) == 0
+    cells = (f"{x} = {w}/{sum(weights)}\n" for x, w in zip(_SYMBOLS, weights))
+    return f"[{name}]\n" + "".join(cells)
+
+
+@st.composite
+def _scenario_files(draw):
+    """A scenario file for one paradigm: its table keys with edge values, at
+    times one misspelt key or another paradigm's, and at most 64 reps."""
+    paradigm = draw(st.sampled_from(harness.PARADIGMS))
+    root = draw(st.sampled_from([0, 7, 2**64 - 1]))
+    stream = draw(st.sampled_from([0, 3, 2**32 + 1]))
+    text = (f"[scenario]\nname = fuzz\nparadigm = {paradigm}\n"
+            f"truth = {draw(st.sampled_from('HHK'))}\nreps = {draw(st.integers(0, 64))}\n"
+            f"seed-root = {root}\nseed-stream = {stream}\n")
+    size = draw(st.integers(1, 3))  # one-symbol alphabets, and zero-mass cells
+    for name in ("hypothesis-h", "hypothesis-k"):
+        if draw(_USUALLY):
+            text += draw(_hypothesis_section(name, _mostly(st.just(size), [1, 2, 3])))
+    if draw(_USUALLY if paradigm == "np" else st.booleans()):
+        mu_h = draw(st.sampled_from(["0", "0.5"]))
+        mu_k = draw(st.sampled_from([mu_h, "1"]))
+        sigma = draw(st.sampled_from(["1", "0.5"]))
+        text += f"[gaussian]\nmu-h = {mu_h}\nmu-k = {mu_k}\nsigma = {sigma}\n"
+    keys = harness._RUNNERS[paradigm][1]
+    params = {key: draw(_VALUES[key]) for key in keys if draw(_USUALLY)}
+    for mode, ignored in _OTHER_MODE.items():
+        if mode in params and draw(_USUALLY):
+            for key in ignored:
+                params.pop(key, None)
+    if not draw(_USUALLY):
+        other = draw(st.sampled_from(sorted(set(_VALUES) - set(keys))))
+        stray = draw(st.sampled_from([other, keys[0] + "s", keys[-1][::-1]]))
+        params[stray] = draw(_VALUES.get(stray, _VALUES["n"]))
+    return text + "[params]\n" + "".join(f"{key} = {value}\n" for key, value in params.items())
+
+
+def _without_clock(csv_text):
+    return [line for line in csv_text.splitlines() if "wall_clock" not in line]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(text=_scenario_files())
+def test_simulate_fuzz_exits_0_or_1_and_does_not_depend_on_workers(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.scenario"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["simulate", "--scenario", str(path)])
+        event(f"exit {rc}")  # shown by --hypothesis-show-statistics
+        assert rc in (0, 1), err.getvalue()
+        if rc == 1:
+            assert err.getvalue().startswith("error: ")
+            return
+        scenario = harness.load_scenario(path)
+    # chunks of 16 on a pool of two threads at every width, so that 64 reps
+    # spread over the workers
+    with mock.patch.object(harness, "_CHUNK", 16), mock.patch.object(harness, "_POOL_WIDTH", 1):
+        one, two = (harness.run(scenario, workers=w) for w in (1, 2))
+    assert _without_clock(one.to_csv()) == _without_clock(out.getvalue())
+    assert _without_clock(two.to_csv()) == _without_clock(out.getvalue())
+    assert one.replication_digests == two.replication_digests

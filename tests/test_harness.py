@@ -169,6 +169,38 @@ _SCENARIO_ERRORS = {
         "scenario e: optional stopping monitors a true null; use truth=H and a "
         "zero-effect gaussian pair",
     ),
+    "unknown-section": (
+        "[scenario]\nparadigm = lr\n[extra]\nx = 1\n", "{path}: unknown section [extra]"
+    ),
+    "unknown-scenario-key": (
+        "[scenario]\nparadigm = lr\nseed_root = 5\n",
+        "{path}: unknown key 'seed_root' in [scenario]",
+    ),
+    "misspelt-param": (
+        "[scenario]\nname = e\nparadigm = np\nreps = 5\n[gaussian]\nmu-k = 1\n"
+        "[params]\nn = 4\nalhpa = 0.01\n",
+        "scenario e: unknown param 'alhpa'; np reads n, alpha",
+    ),
+    "bogus-key": (
+        "[scenario]\nname = e\nparadigm = np\nreps = 5\n[gaussian]\nmu-k = 1\n"
+        "[params]\nn = 4\nbogus-key = 7\n",
+        "scenario e: unknown param 'bogus-key'; np reads n, alpha",
+    ),
+    "lr-horizon-with-n": (
+        "[scenario]\nname = e\nparadigm = lr\nreps = 5\n" + _PAIR
+        + "[params]\nhorizon = 10\nn = 5\n",
+        "scenario e: 'n' and 'checkpoints' do not apply with 'horizon'",
+    ),
+    "fisher-observed-with-n": (
+        "[scenario]\nname = e\nparadigm = fisher\n" + _PAIR
+        + "[params]\nobserved = a\nn = 5\n",
+        "scenario e: 'n', 'k' and 'theta' do not apply with 'observed'",
+    ),
+    "optional-stopping-finite-lr-eta": (
+        "[scenario]\nname = e\nparadigm = optional-stopping\nreps = 5\n" + _PAIR + _OS
+        + "lr-eta = -5\n",
+        "scenario e: 'lr-eta' applies only to a gaussian null",
+    ),
 }
 
 

@@ -204,6 +204,57 @@ MUTANTS = (
         ("tests/test_dist.py::"
          "test_two_threads_importing_numpy_first_give_the_single_thread_csv",),
     ),
+    # a scenario file names only the sections, keys and params its run reads,
+    # and a two-mode runner rejects the keys of its other mode
+    Mutant(
+        "unknown-param-accepted",
+        "src/testlab/harness.py",
+        "            _require(self, key in keys,\n",
+        "            _require(self, True,\n",
+        ("tests/test_harness.py::test_scenario_errors_give_their_whole_message[misspelt-param]",
+         "tests/test_harness.py::test_scenario_errors_give_their_whole_message[bogus-key]"),
+    ),
+    Mutant(
+        "horizon-conflict-check-removed",
+        "src/testlab/harness.py",
+        "        _require(scenario, not {\"n\", \"checkpoints\"} & scenario.params.keys(),\n"
+        "                 \"'n' and 'checkpoints' do not apply with 'horizon'\")\n",
+        "",
+        ("tests/test_harness.py::"
+         "test_scenario_errors_give_their_whole_message[lr-horizon-with-n]",),
+    ),
+    Mutant(
+        "unknown-section-ignored",
+        "src/testlab/harness.py",
+        '            raise ScenarioError(f"{path}: unknown section [{section}]")\n',
+        "            continue\n",
+        ("tests/test_harness.py::test_scenario_errors_give_their_whole_message[unknown-section]",),
+    ),
+    # the types-bound radius keeps the universal test's level at delta; ten
+    # times too wide, it rejects far less often than it may
+    Mutant(
+        "radius-times-ten",
+        "src/testlab/info_geometry.py",
+        "    return ((alphabet_size - 1) * math.log(n + 1) - math.log(delta)) / n\n",
+        "    return 10 * ((alphabet_size - 1) * math.log(n + 1) - math.log(delta)) / n\n",
+        ("tests/test_info_geometry.py::test_radius_hand_value",),
+    ),
+    # replication i draws what seed.rng(i) draws, not its neighbour's stream
+    Mutant(
+        "block-words-stream-i-plus-1",
+        "src/testlab/dist.py",
+        "        i = np.arange(_BLOCK, dtype=u32) + block * _BLOCK\n",
+        "        i = np.arange(_BLOCK, dtype=u32) + block * _BLOCK + 1\n",
+        ("tests/test_dist.py::test_replication_reseed_matches_rng[0]",),
+    ),
+    # a p-value's tail holds the observed value itself
+    Mutant(
+        "p-value-exclusive-tail",
+        "src/testlab/fisher.py",
+        "        tail = range(pos, d.size)\n",
+        "        tail = range(pos + 1, d.size)\n",
+        ("tests/test_fisher.py::test_float_tail_summing_past_one_is_clamped_to_one",),
+    ),
 )
 
 
