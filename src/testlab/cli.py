@@ -1,7 +1,8 @@
 """testlab command line: exact tail tests, evidence summaries, error-rate
 design, divergence tests and scenario simulation.
 
-Exit codes: 0 success, 1 input error, 2 internal error. Everything that
+Each exact command returns its rows; main writes them and sets the exit
+code: 0 success, 1 input error, 2 internal error. Everything that
 affects results is an explicit flag or scenario key, and no environment
 variable is read; simulate --workers sets the thread count, used only for
 replications at least harness._POOL_WIDTH draws wide, and it never changes
@@ -59,16 +60,24 @@ def _emit(args, rows):
     else:
         lines = (f"{r[0]} = {_render(r[1])}" if len(r) == 2 else r[2] for r in rows)
         payload = "".join(f"{line}\n" for line in lines if line is not None)
-    if getattr(args, "out", None):
+    _write(args, payload)
+
+
+def _write(args, payload):
+    """Write payload to the --out file, or to stdout without one."""
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload)
     else:
         sys.stdout.write(payload)
 
 
-def _add_common(parser):
+def _exact(parser, func):
+    """Finish an exact command's subparser, after its own arguments: --format,
+    --out, and func(args), which returns the rows main writes."""
     parser.add_argument("--format", choices=("text", "csv"), default="text")
     parser.add_argument("--out", help="write output to this file instead of stdout")
+    parser.set_defaults(func=func)
 
 
 def _cmd_fisher(args):
@@ -92,15 +101,13 @@ def _cmd_fisher(args):
     if report.p > 0 and float(report.p) == 0:  # exact tail below double range
         log10_p = log_probability(report.p) / math.log(10)
         rows.append(("log10_p", log10_p, f"log10 p-value     = {log10_p:.6f}"))
-    rows += [
+    return rows + [
         ("point_prob", point_text, f"point probability = {point_text}"),
         ("n_extreme", report.n_extreme, f"tail outcomes     = {report.n_extreme}"),
         ("level", args.level, None),
         ("significant", significant,
          f"significant at {_render(args.level)}? {_render(significant)}"),
     ]
-    _emit(args, rows)
-    return EXIT_OK
 
 
 def _read_pair_and_data(args):
@@ -123,11 +130,10 @@ def _evidence_rows(ev):
 def _cmd_lr(args):
     ev = evidential.evidence_from_sample(*_read_pair_and_data(args))
     verdict = evidential.threshold_verdict(ev, args.s)
-    _emit(args, _evidence_rows(ev) + [
+    return _evidence_rows(ev) + [
         ("s", args.s, None),
         ("verdict", verdict.value, f"verdict at s={_render(args.s)}: {verdict.value}"),
-    ])
-    return EXIT_OK
+    ]
 
 
 def _cmd_bayes(args):
@@ -135,12 +141,11 @@ def _cmd_bayes(args):
     priors = Priors(parse_probability(args.prior_h))
     odds = evidential.posterior_odds(ev, priors)
     post = evidential.posterior_prob_k(ev, priors)
-    _emit(args, _evidence_rows(ev) + [
+    return _evidence_rows(ev) + [
         ("prior_h", float(priors.pi_h), f"prior P(H) = {_render(float(priors.pi_h))}"),
         ("posterior_odds_k", odds, f"posterior odds K:H = {_render(odds)}"),
         ("posterior_k", post, f"posterior P(K)     = {_render(post)}"),
-    ])
-    return EXIT_OK
+    ]
 
 
 def _cmd_np(args):
@@ -151,7 +156,7 @@ def _cmd_np(args):
     else:
         rule, rates = neyman_pearson.np_test(pair, args.n, args.alpha)
         kind = "fixed-alpha"
-    rows = [
+    return [
         ("rule", kind),
         ("n", args.n),
         ("cutoff", rule.cutoff),
@@ -160,8 +165,6 @@ def _cmd_np(args):
         ("total_error", rates.total),
         ("power", 1.0 - rates.beta),
     ]
-    _emit(args, rows)
-    return EXIT_OK
 
 
 def _cmd_power(args):
@@ -178,7 +181,7 @@ def _cmd_power(args):
         )
     spec = neyman_pearson.PowerSpec(sigma=args.sigma, **given)
     solved = neyman_pearson.solve_power(spec)
-    rows = [
+    return [
         ("solved_for", spec.unknown),
         ("alpha", solved.alpha),
         ("beta", solved.beta),
@@ -187,8 +190,6 @@ def _cmd_power(args):
         ("n", solved.n),
         ("sigma", solved.sigma),
     ]
-    _emit(args, rows)
-    return EXIT_OK
 
 
 def _cmd_kl(args):
@@ -196,11 +197,10 @@ def _cmd_kl(args):
     q = read_distribution(args.q_file)
     forward = info_geometry.kl(p, q)
     backward = info_geometry.kl(q, p)
-    _emit(args, [
+    return [
         ("kl_pq_nats", forward.nats, f"D(p || q) = {_render(forward.nats)} nats"),
         ("kl_qp_nats", backward.nats, f"D(q || p) = {_render(backward.nats)} nats"),
-    ])
-    return EXIT_OK
+    ]
 
 
 def _cmd_map(args):
@@ -208,14 +208,12 @@ def _cmd_map(args):
     priors = Priors(parse_probability(args.prior_h))
     ev, d_h, d_k = info_geometry._evidence_and_divergences(h, k, xs)
     decision = info_geometry._map_decision(priors, ev, d_h, d_k)
-    rows = [
+    return [
         ("n", len(xs)),
         ("prior_h", float(priors.pi_h)),
         ("log_lr", ev.sum_log_lr),
         ("decision", decision),
     ]
-    _emit(args, rows)
-    return EXIT_OK
 
 
 def _cmd_hoeffding(args):
@@ -223,15 +221,13 @@ def _cmd_hoeffding(args):
     xs = read_symbols(args.data)
     cfg = info_geometry.UniversalTestConfig(delta=args.delta)
     result = info_geometry.hoeffding_test(h, xs, cfg)
-    rows = [
+    return [
         ("n", result.n),
         ("statistic_nats", result.statistic),
         ("radius", result.radius),
         ("delta", args.delta),
         ("decision", result.decision.value),
     ]
-    _emit(args, rows)
-    return EXIT_OK
 
 
 def _cmd_simulate(args):
@@ -245,15 +241,9 @@ def _cmd_simulate(args):
         from dataclasses import replace
 
         scenario = replace(scenario, **overrides)
-    report = harness.run(scenario, workers=args.workers)
-    payload = report.to_csv()
+    _write(args, harness.run(scenario, workers=args.workers).to_csv())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
         print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(payload)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,24 +259,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observed", help="observed symbol, with --dist")
     p.add_argument("--direction", default="ge", help="ge, le or abs")
     p.add_argument("--level", type=float, default=0.05)
-    _add_common(p)
-    p.set_defaults(func=_cmd_fisher)
+    _exact(p, _cmd_fisher)
 
     p = sub.add_parser("lr", help="likelihood-ratio evidence from a data file")
     p.add_argument("--h-dist", required=True)
     p.add_argument("--k-dist", required=True)
     p.add_argument("--data", required=True, help="one symbol per line")
     p.add_argument("-s", "--s", dest="s", type=float, default=8.0)
-    _add_common(p)
-    p.set_defaults(func=_cmd_lr)
+    _exact(p, _cmd_lr)
 
     p = sub.add_parser("bayes", help="posterior odds from a data file")
     p.add_argument("--h-dist", required=True)
     p.add_argument("--k-dist", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--prior-h", default="1/2")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bayes)
+    _exact(p, _cmd_bayes)
 
     p = sub.add_parser("np", help="two-Gaussian decision rule and error rates")
     p.add_argument("--mu-h", type=float, required=True)
@@ -294,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, help="omit for the symmetric midpoint rule")
-    _add_common(p)
-    p.set_defaults(func=_cmd_np)
+    _exact(p, _cmd_np)
 
     p = sub.add_parser("power", help="solve the fourth of alpha/beta/eta/n")
     p.add_argument("--alpha", type=float)
@@ -303,29 +289,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float)
     p.add_argument("--n", type=int)
     p.add_argument("--sigma", type=float, default=1.0)
-    _add_common(p)
-    p.set_defaults(func=_cmd_power)
+    _exact(p, _cmd_power)
 
     p = sub.add_parser("kl", help="divergences both ways between two distributions")
     p.add_argument("p_file")
     p.add_argument("q_file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_kl)
+    _exact(p, _cmd_kl)
 
     p = sub.add_parser("map", help="maximum-a-posteriori decision on a data file")
     p.add_argument("--h-dist", required=True)
     p.add_argument("--k-dist", required=True)
     p.add_argument("--prior-h", default="1/2")
     p.add_argument("data")
-    _add_common(p)
-    p.set_defaults(func=_cmd_map)
+    _exact(p, _cmd_map)
 
     p = sub.add_parser("hoeffding", help="universal test of one hypothesis")
     p.add_argument("--hypothesis", required=True, help="distribution file")
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("data")
-    _add_common(p)
-    p.set_defaults(func=_cmd_hoeffding)
+    _exact(p, _cmd_hoeffding)
 
     p = sub.add_parser("simulate", help="run a scenario file, emit CSV")
     p.add_argument("--scenario", required=True)
@@ -350,7 +332,10 @@ def main(argv=None) -> int:
     parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        rows = args.func(args)
+        if rows is not None:  # simulate writes its own CSV
+            _emit(args, rows)
+        return EXIT_OK
     except (_CliInputError, TestlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

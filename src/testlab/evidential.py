@@ -259,16 +259,21 @@ def grade(r_n) -> EvidenceGrade:
     return EvidenceGrade(_strength_for_h(r_n), "H")
 
 
+def _check_threshold(s) -> None:
+    """A likelihood-ratio threshold s is finite and at least 1."""
+    if isinstance(s, float) and not math.isfinite(s):
+        raise InputError(f"threshold must be finite, got {s!r}")
+    if s < 1:
+        raise InputError(f"threshold must be at least 1, got {s!r}")
+
+
 def threshold_verdict(ev: LogEvidence, s=8.0) -> Verdict:
     """Accept K iff r_n >= s, accept H iff r_n <= 1/s, otherwise continue.
 
     The boundary r_n = s accepts K. With rational evidence and a threshold
     that converts exactly, the comparison is exact.
     """
-    if isinstance(s, float) and not math.isfinite(s):
-        raise InputError(f"threshold must be finite, got {s!r}")
-    if s < 1:
-        raise InputError(f"threshold must be at least 1, got {s!r}")
+    _check_threshold(s)
     if ev.exact_ratio is not None:
         # r_n = a/b against s = c/d > 0, compared exactly as integers
         a, b = ev.exact_ratio.numerator, ev.exact_ratio.denominator

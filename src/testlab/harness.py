@@ -154,7 +154,8 @@ def _render(value) -> str:
 
 
 def load_scenario(path) -> Scenario:
-    parser = configparser.ConfigParser()
+    # values are literal, and no header can hold "\n": [DEFAULT] is an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     parser.optionxform = str  # symbol labels are case-sensitive
     try:
         with open(path, "r", encoding="utf-8") as handle:

@@ -23,7 +23,14 @@ from .dist import (
     require_same_alphabet,
 )
 from .errors import EmptySampleError, InputError
-from .evidential import LogEvidence, Priors, Verdict, evidence_from_counts, threshold_verdict
+from .evidential import (
+    LogEvidence,
+    Priors,
+    Verdict,
+    _check_threshold,
+    evidence_from_counts,
+    threshold_verdict,
+)
 
 
 @dataclass(frozen=True)
@@ -153,10 +160,7 @@ def lr_threshold_as_kl_margin(
     n = len(xs)
     if n == 0:
         raise EmptySampleError("margin rule needs at least one observation")
-    if isinstance(s, float) and not math.isfinite(s):
-        raise InputError(f"threshold must be finite, got {s!r}")
-    if s < 1:
-        raise InputError(f"threshold must be at least 1, got {s!r}")
+    _check_threshold(s)
     ev, d_h, d_k = _evidence_and_divergences(h, k, xs)
     margin = math.log(s) / n
     if ev.exact_ratio is not None:

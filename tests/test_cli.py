@@ -644,6 +644,16 @@ class _ThreadStdout:
         return text
 
 
+def test_out_file_holds_what_stdout_prints_without_it(capsys, dist_files, tmp_path):
+    out = tmp_path / "out.txt"
+    for argv in _valid_runs(dist_files, tmp_path):
+        argv = argv[:argv.index("--out")] if "--out" in argv else argv
+        rc, printed, err = run_cli(capsys, *argv)
+        assert (rc, err) == (0, "") and printed
+        assert run_cli(capsys, *argv, "--out", str(out)) == (0, "", "")
+        assert out.read_text() == printed, argv
+
+
 def test_importing_the_cli_builds_no_parser_and_loads_no_hashlib():
     # either would add milliseconds to every process start; the parser is
     # built on the first main() call, hashlib loaded by the first replication
@@ -984,16 +994,25 @@ def _hypothesis_section(draw, name, size):
     return f"[{name}]\n" + "".join(cells)
 
 
+# a scenario value is literal text, where '%' is an ordinary character and an
+# indented line continues the value above it
+_NAMES = st.sampled_from(["fuzz"] * 4 + ["p%", "p%%", "%(paradigm)s", "fuzz\n  more"])
+_DEFAULTS = st.sampled_from([None] * 15 + ["", "n = 4\n", "name = %(paradigm)s\n"])
+
+
 @st.composite
 def _scenario_files(draw):
     """A scenario file for one paradigm: its table keys with edge values, at
-    times one misspelt key or another paradigm's, and at most 64 reps."""
+    times one misspelt key or another paradigm's, a '%' in a name or value,
+    continuation lines, a [DEFAULT] section, and at most 64 reps."""
     paradigm = draw(st.sampled_from(harness.PARADIGMS))
     root = draw(st.sampled_from([0, 7, 2**64 - 1]))
     stream = draw(st.sampled_from([0, 3, 2**32 + 1]))
-    text = (f"[scenario]\nname = fuzz\nparadigm = {paradigm}\n"
-            f"truth = {draw(st.sampled_from('HHK'))}\nreps = {draw(st.integers(0, 64))}\n"
-            f"seed-root = {root}\nseed-stream = {stream}\n")
+    defaults = draw(_DEFAULTS)
+    text = "" if defaults is None else f"[DEFAULT]\n{defaults}"
+    text += (f"[scenario]\nname = {draw(_NAMES)}\nparadigm = {paradigm}\n"
+             f"truth = {draw(st.sampled_from('HHK'))}\nreps = {draw(st.integers(0, 64))}\n"
+             f"seed-root = {root}\nseed-stream = {stream}\n")
     size = draw(st.integers(1, 3))  # one-symbol alphabets, and zero-mass cells
     for name in ("hypothesis-h", "hypothesis-k"):
         if draw(_USUALLY):
@@ -1013,7 +1032,13 @@ def _scenario_files(draw):
         other = draw(st.sampled_from(sorted(set(_VALUES) - set(keys))))
         stray = draw(st.sampled_from([other, keys[0] + "s", keys[-1][::-1]]))
         params[stray] = draw(_VALUES.get(stray, _VALUES["n"]))
-    return text + "[params]\n" + "".join(f"{key} = {value}\n" for key, value in params.items())
+    if params and not draw(_USUALLY):  # read literally, each fails its key's parser
+        key = draw(st.sampled_from(sorted(params)))
+        params[key] = draw(st.sampled_from([params[key] + "%", "%%", "%(n)s"]))
+    sep = draw(st.sampled_from([" ", " ", "\n  "]))  # looks on continuation lines
+    return text + "[params]\n" + "".join(
+        f"{key} = {value.replace(' ', sep)}\n" for key, value in params.items()
+    )
 
 
 def _without_clock(csv_text):
@@ -1022,6 +1047,8 @@ def _without_clock(csv_text):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(text=_scenario_files())
+@example(text="[scenario]\nname = p%\nparadigm = lr\nreps = 5\n[hypothesis-h]\na = 1/2\n"
+         "b = 1/2\n[hypothesis-k]\na = 1/4\nb = 3/4\n[params]\nn = 4\ns = 2\n")
 def test_simulate_fuzz_exits_0_or_1_and_does_not_depend_on_workers(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.scenario"

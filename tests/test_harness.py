@@ -172,6 +172,15 @@ _SCENARIO_ERRORS = {
     "unknown-section": (
         "[scenario]\nparadigm = lr\n[extra]\nx = 1\n", "{path}: unknown section [extra]"
     ),
+    # values are read literally and [DEFAULT] is no section of defaults
+    "default-section": (
+        "[DEFAULT]\nn = 4\n[scenario]\nparadigm = lr\n", "{path}: unknown section [DEFAULT]"
+    ),
+    "percent-not-interpolated": (
+        "[scenario]\nname = q\nparadigm = lr\nreps = 5\n" + _PAIR
+        + "[params]\nn = 10\ns = %(n)s\n",
+        "scenario q: bad value '%(n)s' for 's'",
+    ),
     "unknown-scenario-key": (
         "[scenario]\nparadigm = lr\nseed_root = 5\n",
         "{path}: unknown key 'seed_root' in [scenario]",

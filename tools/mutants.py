@@ -230,6 +230,31 @@ MUTANTS = (
         "            continue\n",
         ("tests/test_harness.py::test_scenario_errors_give_their_whole_message[unknown-section]",),
     ),
+    # scenario values are literal: '%' is an ordinary character, and
+    # [DEFAULT] is an unknown section, not defaults for every other one
+    Mutant(
+        "scenario-values-interpolated",
+        "src/testlab/harness.py",
+        "configparser.ConfigParser(interpolation=None, ",
+        "configparser.ConfigParser(",
+        ("tests/test_cli.py::test_simulate_fuzz_exits_0_or_1_and_does_not_depend_on_workers",),
+    ),
+    Mutant(
+        "default-section-restored",
+        "src/testlab/harness.py",
+        'interpolation=None, default_section="\\n")',
+        "interpolation=None)",
+        ("tests/test_harness.py::test_scenario_errors_give_their_whole_message[default-section]",),
+    ),
+    # every command with --out writes there and prints nothing, and without
+    # it writes to stdout
+    Mutant(
+        "write-out-branch-inverted",
+        "src/testlab/cli.py",
+        "    if args.out:\n        with open(args.out",
+        "    if not args.out:\n        with open(args.out",
+        ("tests/test_cli.py::test_out_file_holds_what_stdout_prints_without_it",),
+    ),
     # the types-bound radius keeps the universal test's level at delta; ten
     # times too wide, it rejects far less often than it may
     Mutant(
