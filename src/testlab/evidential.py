@@ -299,11 +299,7 @@ def posterior_odds(ev: LogEvidence, priors: Priors) -> float:
 def posterior_prob_k(ev: LogEvidence, priors: Priors) -> float:
     """Posterior probability of K, stable for extreme log odds."""
     log_odds = ev.sum_log_lr + priors.log_odds
-    if log_odds == math.inf:
-        return 1.0
-    if log_odds == -math.inf:
-        return 0.0
-    return 1.0 / (1.0 + math.exp(-log_odds))
+    return 1.0 / (1.0 + _exp_or_inf(-log_odds))
 
 
 def log_ratio_table(h: FiniteDistribution, k: FiniteDistribution) -> np.ndarray:

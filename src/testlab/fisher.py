@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .dist import FiniteDistribution, Probability, _show, as_probability
+from .dist import FiniteDistribution, Probability, _show, as_probability, parse_probability
 from .errors import InputError, UnknownSymbolError, UnorderedAlphabetError
 
 
@@ -66,6 +66,8 @@ def p_value(d: FiniteDistribution, x, direction: TailDirection) -> PValueReport:
 
     GREATER_EQUAL / LESS_EQUAL read extremeness off the alphabet's declared
     order; TWO_SIDED_ABS needs signed numeric labels and sums P(|X| >= |x|).
+    A str label, as files and scenarios give, is read as the exact number it
+    spells ("-2", "1/2", "2.5e-3").
     Exact Fractions in, exact Fraction out.
     """
     pos = d.index(x)
@@ -75,9 +77,10 @@ def p_value(d: FiniteDistribution, x, direction: TailDirection) -> PValueReport:
         tail = range(0, pos + 1)
     elif direction is TailDirection.TWO_SIDED_ABS:
         try:
-            cut = abs(d.alphabet[pos])
-            tail = [i for i, y in enumerate(d.alphabet) if abs(y) >= cut]
-        except TypeError:
+            mag = [abs(parse_probability(y) if isinstance(y, str) else y)
+                   for y in d.alphabet]
+            tail = [i for i, m in enumerate(mag) if m >= mag[pos]]
+        except (TypeError, InputError):
             raise UnorderedAlphabetError(
                 "two-sided tails need signed numeric labels"
             ) from None

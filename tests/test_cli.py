@@ -143,6 +143,19 @@ def test_fisher_distribution_file_mode(capsys, tmp_path):
     assert csv_row(out)["p_exact"] == "3/100"
 
 
+def test_fisher_two_sided_tail_reads_signed_labels_from_a_file(capsys, tmp_path):
+    dist = tmp_path / "d.tsv"
+    dist.write_text("".join(f"{x}\t1/5\n" for x in range(-2, 3)))
+    rc, out, err = run_cli(
+        capsys,
+        "fisher", "--dist", str(dist), "--observed=-2", "--direction", "abs",
+        "--format", "csv",
+    )
+    assert rc == 0, err
+    row = csv_row(out)
+    assert (row["p_exact"], row["n_extreme"]) == ("2/5", "2")
+
+
 # --- evidence commands ---------------------------------------------------------
 
 
@@ -181,6 +194,24 @@ def test_lr_one_sided_sample_overflows_to_infinite_ratio(capsys, tmp_path):
     assert row["lr"] == "inf"
     assert row["posterior_odds_k"] == "inf"
     assert row["posterior_k"] == "1"
+
+
+def test_bayes_on_decisive_evidence_for_h_prints_posterior_zero(capsys, tmp_path):
+    # ln r_n = 200 ln(1/99) ~ -919, where exp of the negated log odds overflows
+    h = tmp_path / "h.tsv"
+    k = tmp_path / "k.tsv"
+    data = tmp_path / "data.txt"
+    h.write_text("a\t99/100\nb\t1/100\n")
+    k.write_text("a\t1/100\nb\t99/100\n")
+    data.write_text("a\n" * 200)
+    rc, out, err = run_cli(
+        capsys, "bayes", "--h-dist", str(h), "--k-dist", str(k), "--data", str(data),
+        "--format", "csv",
+    )
+    assert rc == 0, err
+    row = csv_row(out)
+    assert row["grade"] == "decisive evidence for H"
+    assert (row["posterior_odds_k"], row["posterior_k"]) == ("0", "0")
 
 
 def test_bayes_csv_output(capsys, dist_files):
@@ -513,6 +544,12 @@ _INPUT_ERRORS = {
     ),
     "fisher-without-k": (lambda path: _command("fisher", "--n", "5"),
                          "either --dist/--observed or --n/--k/--theta"),
+    "power-alpha-outside": (lambda path: _command("power", "--beta", "0.1", "--eta", "0.01",
+                                                  "--n", "1"),
+                            "required alpha 0.898234 falls outside (0, 0.5]"),
+    "power-beta-outside": (lambda path: _command("power", "--alpha", "0.05", "--eta", "1e300",
+                                                 "--n", "4"),
+                           "required beta 0 falls outside (0, 0.5]"),
 }
 
 

@@ -343,6 +343,16 @@ def test_posterior_with_falsified_h():
     assert posterior_prob_k(ev, priors) == 1.0
 
 
+def test_posterior_prob_k_beyond_the_double_range_of_the_odds():
+    # exp(-log odds) overflows once the log odds fall below about -709
+    priors = Priors(0.3)
+    assert posterior_prob_k(LogEvidence(-1000.0, 5, None, None), priors) == 0.0
+    assert posterior_prob_k(LogEvidence(-math.inf, 5, "K", None), priors) == 0.0
+    assert posterior_prob_k(LogEvidence(math.inf, 5, "H", None), priors) == 1.0
+    finite = posterior_prob_k(LogEvidence(-2.5, 5, None, None), priors)
+    assert finite == 1.0 / (1.0 + math.exp(-(-2.5 + priors.log_odds)))
+
+
 def test_posterior_odds_scale_with_priors():
     ev = evidence_from_sample(H_FAIR, K_QUARTER, ["b"])
     odds = posterior_odds(ev, Priors(Fraction(1, 4)))

@@ -202,6 +202,12 @@ def test_two_sided_abs_needs_numeric_labels():
         p_value(FiniteDistribution.uniform(("a", "b")), "a", ABS)
 
 
+def test_two_sided_abs_reads_str_labels_as_exact_numbers():
+    d = FiniteDistribution.uniform(("-0.5", "1/4", "1/2", "2.5e-3"))
+    rep = p_value(d, "1/2", ABS)
+    assert (rep.p, rep.n_extreme) == (Fraction(1, 2), 2)
+
+
 def test_monotone_in_tail_direction():
     rng = random.Random(3)
     for _ in range(20):

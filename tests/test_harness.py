@@ -544,6 +544,18 @@ def test_fisher_scenario_reports_exact_values():
     assert report.values["significant"] is True
 
 
+def test_fisher_scenario_two_sided_tail_reads_signed_labels(tmp_path):
+    path = tmp_path / "abs.scenario"
+    path.write_text(
+        "[scenario]\nname = abs\nparadigm = fisher\n[hypothesis-h]\n"
+        + "".join(f"{x} = 1/5\n" for x in range(-2, 3))
+        + "[params]\nobserved = -1\ndirection = abs\n"
+    )
+    report = run_scenario(load_scenario(path))
+    assert report.values["p_exact"] == Fraction(4, 5)
+    assert report.values["n_extreme"] == 4
+
+
 def test_optional_stopping_rates_are_cumulative():
     scenario = Scenario(
         name="looks",

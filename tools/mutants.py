@@ -137,7 +137,8 @@ MUTANTS = (
         "        rngs = seed._rep_rngs(span) if threading.current_thread() is "
         "threading.main_thread() else (seed.rng(i ^ 1) for i in span)\n",
         ("tests/test_harness.py::"
-         "test_per_replication_verdicts_do_not_depend_on_the_worker_count[lr-n]",),
+         "test_per_replication_verdicts_do_not_depend_on_the_worker_count[lr-n]",
+         "tests/test_golden.py::test_simulation_matches_golden_csv[c12-optional-stopping]"),
     ),
     # replications narrower than _POOL_WIDTH run on the calling thread
     Mutant(
@@ -271,6 +272,101 @@ MUTANTS = (
         "        i = np.arange(_BLOCK, dtype=u32) + block * _BLOCK\n",
         "        i = np.arange(_BLOCK, dtype=u32) + block * _BLOCK + 1\n",
         ("tests/test_dist.py::test_replication_reseed_matches_rng[0]",),
+    ),
+    # one fold extends evidence by a sample: support exclusion falsifies the
+    # hypothesis that gave the symbol zero mass, both falsified is an error,
+    # and the exact and float ratios extend the running ones by each count
+    Mutant(
+        "fold-falsified-side-swapped",
+        "src/testlab/evidential.py",
+        '        return LogEvidence(math.inf, n, "H", None)\n'
+        "    if k_new:\n"
+        '        return LogEvidence(-math.inf, n, "K", None)\n',
+        '        return LogEvidence(math.inf, n, "K", None)\n'
+        "    if k_new:\n"
+        '        return LogEvidence(-math.inf, n, "H", None)\n',
+        ("tests/test_evidential.py::test_support_exclusion_falsifies_h",
+         "tests/test_evidential.py::test_jointly_impossible_sequence_rejected",
+         "tests/test_evidential.py::test_counts_path_equals_streaming_fold_exact",
+         "tests/test_evidential.py::test_counts_path_matches_streaming_fold_float"),
+    ),
+    Mutant(
+        "fold-joint-check-removed",
+        "src/testlab/evidential.py",
+        '    if (h_new or ev.falsified == "H") and (k_new or ev.falsified == "K"):\n'
+        "        raise ImpossibleObservationError(\n"
+        '            "observations are jointly impossible under both hypotheses"\n'
+        "        )\n",
+        "",
+        ("tests/test_evidential.py::test_jointly_impossible_sequence_rejected",
+         "tests/test_evidential.py::test_counts_path_equals_streaming_fold_exact"),
+    ),
+    Mutant(
+        "fold-float-count-dropped",
+        "src/testlab/evidential.py",
+        "total += c * (lk[i] - lh[i])",
+        "total += (lk[i] - lh[i])",
+        ("tests/test_evidential.py::test_counts_path_matches_streaming_fold_float",
+         "tests/test_acceptance.py::test_c06_identity_on_randomized_triples"),
+    ),
+    Mutant(
+        "fold-float-sum-from-zero",
+        "src/testlab/evidential.py",
+        "    total = ev.sum_log_lr\n",
+        "    total = 0.0\n",
+        ("tests/test_evidential.py::test_counts_path_matches_streaming_fold_float",),
+    ),
+    Mutant(
+        "fold-running-exact-ratio-dropped",
+        "src/testlab/evidential.py",
+        "            ratio *= ev.exact_ratio\n",
+        "            pass\n",
+        ("tests/test_evidential.py::test_counts_path_equals_streaming_fold_exact",),
+    ),
+    Mutant(
+        "fold-exact-ratio-inverted",
+        "src/testlab/evidential.py",
+        "ratio = Fraction(num, den)",
+        "ratio = Fraction(den, num)",
+        ("tests/test_evidential.py::test_hand_computed_three_observations",),
+    ),
+    Mutant(
+        "fold-sample-size-per-symbol",
+        "src/testlab/evidential.py",
+        "        n += c\n",
+        "        n += 1\n",
+        ("tests/test_evidential.py::test_hand_computed_three_observations",
+         "tests/test_evidential.py::test_counts_path_equals_streaming_fold_exact",
+         "tests/test_evidential.py::test_counts_path_matches_streaming_fold_float"),
+    ),
+    # the posterior of K is 0, not an overflow, once exp(-log odds) leaves
+    # the double range
+    Mutant(
+        "posterior-exp-overflows",
+        "src/testlab/evidential.py",
+        "    return 1.0 / (1.0 + _exp_or_inf(-log_odds))\n",
+        "    return 1.0 / (1.0 + math.exp(-log_odds))\n",
+        ("tests/test_evidential.py::"
+         "test_posterior_prob_k_beyond_the_double_range_of_the_odds",
+         "tests/test_cli.py::test_bayes_on_decisive_evidence_for_h_prints_posterior_zero"),
+    ),
+    # a str label, as files and scenarios give, has the magnitude of the
+    # number it spells in a two-sided tail
+    Mutant(
+        "abs-label-parse-dropped",
+        "src/testlab/fisher.py",
+        "abs(parse_probability(y) if isinstance(y, str) else y)",
+        "abs(y)",
+        ("tests/test_cli.py::test_fisher_two_sided_tail_reads_signed_labels_from_a_file",
+         "tests/test_harness.py::test_fisher_scenario_two_sided_tail_reads_signed_labels"),
+    ),
+    # a solved error rate must be a level a test may have, at most 1/2
+    Mutant(
+        "power-rate-bound-widened",
+        "src/testlab/neyman_pearson.py",
+        "    if not 0 < rate <= 0.5:\n",
+        "    if not 0 < rate < 1:\n",
+        ("tests/test_cli.py::test_input_errors_give_their_whole_message[power-alpha-outside]",),
     ),
     # a p-value's tail holds the observed value itself
     Mutant(
