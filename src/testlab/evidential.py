@@ -13,15 +13,24 @@ perturb anything; in float mode the log increments, read from each
 distribution's cached ``log_probs``, are summed directly. Support
 violations are mapped to exact +/- infinity: an observation impossible
 under H is decisive for K, and vice versa.
+
+A short sample's exact ratio is the unreduced product, reduced by
+Fraction. A long one's would make Fraction run a gcd and a division on
+big integers, which CPython takes quadratic time for, so it is built in
+lowest terms from the per-symbol integers instead (``_long_ratio``) and
+handed to Fraction as a ``numbers.Rational``, whose fields that contract
+says are already reduced: Fraction copies them and runs no gcd.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .dist import (
     FiniteDistribution,
@@ -129,6 +138,78 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
+#: A fold of fewer counts builds the unreduced ratio and lets Fraction reduce
+#: it; from this many on, the product's size picks the route.
+_MANY_COUNTS = 64
+#: Bits of the unreduced numerator and denominator together, per symbol
+#: seen, from which building the ratio in lowest terms beats Fraction's
+#: quadratic gcd (the refinement's cost grows with the symbols seen).
+_GCD_BITS_PER_SYMBOL = 1000
+
+
+class _LowestTerms(NamedTuple):
+    """A numerator and a positive denominator that share no factor.
+
+    The numbers.Rational contract says numerator and denominator are in
+    lowest terms, so Fraction(_LowestTerms(p, q)) copies the two fields and
+    runs no gcd, on every Python this supports. (Fraction's private
+    ``_normalize`` flag, which did the same, is gone from 3.12.)
+    """
+
+    numerator: int
+    denominator: int
+
+
+numbers.Rational.register(_LowestTerms)
+
+
+def _product(xs: list) -> int:
+    """prod(xs) by a balanced tree, so that big factors meet big ones."""
+    while len(xs) > 1:
+        pairs = [xs[j] * xs[j + 1] for j in range(0, len(xs) - 1, 2)]
+        xs = pairs + xs[2 * len(pairs):]
+    return xs[0] if xs else 1
+
+
+def _long_ratio(h: FiniteDistribution, k: FiniteDistribution, seen) -> Optional[Fraction]:
+    """prod (P_K/P_H)**c over (i, c) in seen, in lowest terms with no gcd or
+    division on big integers; None when the unreduced product is small
+    enough for Fraction's own reduction to be faster.
+
+    P_K/P_H = (pk.num*ph.den)/(pk.den*ph.num), so the ratio is prod v**E_v
+    over these small integers v, E_v counting c for each symbol with v
+    above the line and -c below. Two factors of opposite sign, x**e and
+    y**f with g = gcd(x, y) > 1, are refined into (x/g)**e, (y/g)**f and
+    g**(e + f): the product stays, the integers shrink, and so it ends with
+    every factor of positive exponent coprime to every factor of negative
+    one. Their two products are the numerator and the denominator.
+    """
+    bits, exps = 0, {}
+    for i, c in seen:
+        ph, pk = h.probs[i], k.probs[i]
+        for v, e in ((pk.numerator, c), (ph.denominator, c),
+                     (pk.denominator, -c), (ph.numerator, -c)):
+            bits += c * v.bit_length()
+            exps[v] = exps.get(v, 0) + e
+    if bits < _GCD_BITS_PER_SYMBOL * len(seen):
+        return None
+    up, down = {}, {}  # no key of one is a key of the other, nor shares a factor
+    todo = [(v, e) for v, e in exps.items() if e and v > 1]
+    while todo:
+        x, e = todo.pop()
+        same, other = (up, down) if e > 0 else (down, up)
+        for y in other:
+            g = math.gcd(x, y)
+            if g > 1:
+                f = other.pop(y)
+                todo += ((v, d) for v, d in ((g, e + f), (x // g, e), (y // g, f)) if d and v > 1)
+                break
+        else:
+            same[x] = same.get(x, 0) + e
+    return Fraction(_LowestTerms(_product([v**e for v, e in up.items()]),
+                                 _product([v**-e for v, e in down.items()])))
+
+
 def _fold(
     ev: LogEvidence, h: FiniteDistribution, k: FiniteDistribution, seen
 ) -> LogEvidence:
@@ -159,13 +240,16 @@ def _fold(
         # further finite factors cannot move an exact infinity
         return LogEvidence(ev.sum_log_lr, n, ev.falsified, None)
     if ev.exact_ratio is not None and h.is_exact and k.is_exact:
-        num = den = 1
-        for i, c in seen:
-            ph, pk = h.probs[i], k.probs[i]
-            num *= (pk.numerator * ph.denominator) ** c
-            den *= (pk.denominator * ph.numerator) ** c
-        # normalised once; a running ratio's product then needs only small gcds
-        ratio = Fraction(num, den)
+        ratio = _long_ratio(h, k, seen) if n - ev.n >= _MANY_COUNTS else None
+        if ratio is None:
+            num = den = 1
+            for i, c in seen:
+                ph, pk = h.probs[i], k.probs[i]
+                num *= (pk.numerator * ph.denominator) ** c
+                den *= (pk.denominator * ph.numerator) ** c
+            # normalised once, by a gcd that is cheap at this size; a running
+            # ratio's product then needs only small gcds
+            ratio = Fraction(num, den)
         if ev.exact_ratio != 1:
             ratio *= ev.exact_ratio
         return LogEvidence(log_probability(ratio), n, None, ratio)
@@ -208,10 +292,22 @@ def evidence_from_counts(
     under both hypotheses, or if the counts falsify both.
     """
     counts = tuple(counts)
+    try:  # integers only: the exact ratio takes each count as an exponent
+        counts, n = tuple(map(operator.index, counts)), operator.index(n)
+    except TypeError:
+        raise InputError(
+            f"counts and n must be integers, got {counts!r} and {n!r}"
+        ) from None
     if len(counts) != h.size or min(counts) < 0 or sum(counts) != n:
         raise InputError(
             f"need {h.size} nonnegative counts summing to n={n}, got {counts!r}"
         )
+    return _evidence(h, k, counts, n)
+
+
+def _evidence(h: FiniteDistribution, k: FiniteDistribution, counts, n) -> LogEvidence:
+    """evidence_from_counts for counts known to pass its checks, as those of
+    an EmpiricalDistribution over h.alphabet do."""
     if n == 0:
         return _EMPTY
     require_same_alphabet(h, k)
@@ -223,7 +319,7 @@ def evidence_from_sample(
 ) -> LogEvidence:
     """Evidence of a whole sample, computed from its symbol counts."""
     emp = empirical(xs, h.alphabet)
-    return evidence_from_counts(h, k, emp.counts, emp.n)
+    return _evidence(h, k, emp.counts, emp.n)
 
 
 def _strength_for_h(r) -> GradeStrength:

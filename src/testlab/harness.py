@@ -523,13 +523,15 @@ def _run_hoeffding(scenario, report, workers):
     report.values["delta"] = delta
     report.values["radius"] = radius
 
-    def rejects(u):
+    def divergences(u):
         counts = _row_counts(_step_indices(truth, u), h.size)
-        return (_divergences(counts, n, log_h) > radius).reshape(u.shape[:-1])
+        return _divergences(counts, n, log_h).reshape(u.shape[:-1])
 
-    rejected = np.zeros(scenario.reps, dtype=bool)
-    _replicate(scenario.seed, workers, rejected, n, "random", rejects, report)
-    _tally(report, rejected, hit="reject_h", miss="accept_h", rate="reject_rate")
+    # each replication's divergence, not its verdict, so that its digest
+    # sees which replication drew what
+    stats = np.empty(scenario.reps)
+    _replicate(scenario.seed, workers, stats, n, "random", divergences, report)
+    _tally(report, stats > radius, hit="reject_h", miss="accept_h", rate="reject_rate")
 
 
 def _row_counts(idx, size):

@@ -28,7 +28,7 @@ from .evidential import (
     Priors,
     Verdict,
     _check_threshold,
-    evidence_from_counts,
+    _evidence,
     threshold_verdict,
 )
 
@@ -89,7 +89,7 @@ def _evidence_and_divergences(
 ) -> tuple[LogEvidence, float, float]:
     """Count xs once: (evidence, D(emp||h), D(emp||k)), divergences 0 if empty."""
     emp = empirical(xs, h.alphabet)
-    ev = evidence_from_counts(h, k, emp.counts, emp.n)
+    ev = _evidence(h, k, emp.counts, emp.n)
     if emp.n == 0:
         return ev, 0.0, 0.0
     return ev, float(kl(emp, h)), float(kl(emp, k))

@@ -1,13 +1,16 @@
+import fractions
 import math
+import operator
 import random
 import string
+import types
 import warnings
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from testlab import (
@@ -21,6 +24,7 @@ from testlab import (
     empirical,
     evidence_from_counts,
     evidence_from_sample,
+    evidential,
     grade,
     kl,
     posterior_odds,
@@ -217,6 +221,136 @@ def test_counts_path_matches_streaming_fold_float(case):
         assert abs(batch.sum_log_lr - folded.sum_log_lr) <= 1e-12 * scale
 
 
+# --- long samples: the exact ratio built in lowest terms --------------------------
+
+_LARGE_PRIMES = (2**31 - 1, 10**9 + 7, 998_244_353, 2**61 - 1, 2**89 - 1)
+_ORACLE_BITS = 60_000  # unreduced product size at which a case's counts stop
+
+
+@st.composite
+def _long_folds(draw):
+    """Two rational hypotheses over 2-8 symbols and up to 5 000 counts of
+    each symbol, so that both routes of the exact fold run. Weights are
+    products of small integers and large primes; K may permute H's weights,
+    so that per-symbol ratios such as 2/3 and 3/2 share their factors; one
+    side may give a symbol zero mass. Counts stop where the unreduced
+    product would pass _ORACLE_BITS, which keeps the Fraction oracle quick."""
+    k = draw(st.integers(2, 8))
+    labels = tuple(string.ascii_lowercase[:k])
+    factor = st.one_of(st.integers(1, 12), st.sampled_from(_LARGE_PRIMES))
+    weights = st.lists(st.builds(operator.mul, factor, factor), min_size=k, max_size=k)
+    hw = draw(weights)
+    kw = draw(st.one_of(weights, st.permutations(hw)))
+    zero = draw(st.sampled_from((None,) * 6 + (hw, kw)))
+    if zero is not None:
+        zero[draw(st.integers(0, k - 1))] = 0
+    h, kd = (FiniteDistribution(labels, tuple(Fraction(w, sum(ws)) for w in ws))
+             for ws in (hw, kw))
+    per_count = [sum(v.bit_length() for v in (p.numerator, p.denominator, q.numerator,
+                                               q.denominator)) for p, q in zip(h.probs, kd.probs)]
+    top = draw(st.sampled_from((3, min(5000, _ORACLE_BITS // sum(per_count)))))
+    counts = draw(st.lists(st.sampled_from(range(top + 1)), min_size=k, max_size=k))
+    return h, kd, counts
+
+
+def _oracle(h, k, counts):
+    """(falsified, exact ratio) by the rules of the fold: a product of
+    Fraction powers, or the side that a counted zero mass falsifies; raises
+    as the fold must."""
+    seen = [(p, q) for p, q, c in zip(h.probs, k.probs, counts) if c]
+    zero_h, zero_k = (any(p == 0 for p in side) for side in zip(*seen))
+    if zero_h and zero_k:
+        return "both", None
+    if zero_h or zero_k:
+        return ("H" if zero_h else "K"), None
+    ratio = Fraction(1)
+    for p, q, c in zip(h.probs, k.probs, counts):
+        if c:
+            ratio *= (q / p) ** c
+    return None, ratio
+
+
+def _folds_to_oracle(h, k, counts):
+    if not any(counts):
+        return
+    falsified, ratio = _oracle(h, k, counts)
+    if falsified == "both":
+        with pytest.raises(ImpossibleObservationError):
+            evidence_from_counts(h, k, counts, sum(counts))
+        return
+    ev = evidence_from_counts(h, k, counts, sum(counts))
+    assert (ev.falsified, ev.n) == (falsified, sum(counts))
+    if falsified:
+        assert ev.exact_ratio is None
+        assert ev.sum_log_lr == (math.inf if falsified == "H" else -math.inf)
+        return
+    assert type(ev.exact_ratio) is Fraction
+    assert (ev.exact_ratio.numerator, ev.exact_ratio.denominator) == (
+        ratio.numerator, ratio.denominator)
+    assert ev.sum_log_lr == math.log(ratio.numerator) - math.log(ratio.denominator)
+
+
+@given(_long_folds())
+@settings(max_examples=150, deadline=None)
+def test_long_sample_ratio_equals_the_fraction_product(case):
+    _folds_to_oracle(*case)
+
+
+def _route(case):
+    """The exact fold's route for a case: "short" below _MANY_COUNTS,
+    "lowest-terms" or "declined" by the size check, or None when a zero
+    mass ends the fold first."""
+    h, k, counts = case
+    seen = [(i, c) for i, c in enumerate(counts) if c]
+    if not seen or any(h.probs[i] == 0 or k.probs[i] == 0 for i, _ in seen):
+        return None
+    if sum(counts) < evidential._MANY_COUNTS:
+        return "short"
+    return "declined" if evidential._long_ratio(h, k, seen) is None else "lowest-terms"
+
+
+@pytest.mark.parametrize("route", ["short", "declined", "lowest-terms"])
+def test_long_sample_cases_reach_each_route(route):
+    case = find(_long_folds(), lambda case: _route(case) == route,
+                settings=settings(database=None, max_examples=500, derandomize=True,
+                                  phases=[Phase.generate]))
+    _folds_to_oracle(*case)
+
+
+def test_update_folds_onto_a_lowest_terms_ratio():
+    # P_K/P_H is (1/4)/(1/6) = 3/2 for a, 3/4 for b and 1 for c: the 6 above
+    # the line and the 4 below it share a factor 2 whose exponent is neither
+    # of theirs
+    h = FiniteDistribution(tuple("abc"), (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))
+    k = FiniteDistribution(tuple("abc"), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+    ev = evidence_from_counts(h, k, (3000, 1000, 500), 4500)
+    assert _route((h, k, (3000, 1000, 500))) == "lowest-terms"
+    for x in "abca":
+        ev = update(ev, h, k, x)
+    expected = Fraction(3, 2) ** 3002 * Fraction(3, 4) ** 1001
+    assert (ev.exact_ratio.numerator, ev.exact_ratio.denominator) == (
+        expected.numerator, expected.denominator)
+    assert ev.sum_log_lr == math.log(expected.numerator) - math.log(expected.denominator)
+    assert ev == evidence_from_counts(h, k, (3002, 1001, 501), 4504)
+
+
+def test_lowest_terms_fraction_is_fraction_p_q(monkeypatch):
+    p, q = 3**400 * 5**7, 2**900 * 7**3
+    slow = Fraction(p, q)
+
+    def no_gcd(*args):
+        raise AssertionError("gcd called")
+
+    # Fraction copies a numbers.Rational's fields; it takes no gcd of them
+    monkeypatch.setattr(fractions, "math", types.SimpleNamespace(gcd=no_gcd))
+    fast = Fraction(evidential._LowestTerms(p, q))
+    monkeypatch.undo()
+    assert type(fast) is Fraction
+    assert fast == slow and hash(fast) == hash(slow)
+    assert (fast.numerator, fast.denominator) == (slow.numerator, slow.denominator) == (p, q)
+    assert fast * Fraction(q, p) == 1
+
+
 def test_evidence_from_counts_validates_counts():
     with pytest.raises(InputError):
         evidence_from_counts(H_FAIR, K_QUARTER, (1, 1), 3)
@@ -225,6 +359,22 @@ def test_evidence_from_counts_validates_counts():
     with pytest.raises(InputError):
         evidence_from_counts(H_FAIR, K_QUARTER, (3, -1), 2)
     assert evidence_from_counts(H_FAIR, K_QUARTER, (2, 1), 3).exact_ratio == Fraction(3, 8)
+    # counts are exponents of the exact ratio, so only integers are counts,
+    # with exact and with float hypotheses alike
+    k = bernoulli(Fraction(3, 4))
+    for h, counts, n, shown in (
+        (H_FAIR, (1.5, 0.5), 2, "(1.5, 0.5) and 2"),
+        (_as_float(H_FAIR), (1.5, 0.5), 2, "(1.5, 0.5) and 2"),
+        (_as_float(H_FAIR), (1, 1), 2.0, "(1, 1) and 2.0"),
+        (H_FAIR, [Fraction(1), 1], 2, "(Fraction(1, 1), 1) and 2"),
+    ):
+        with pytest.raises(InputError) as caught:
+            evidence_from_counts(h, k, counts, n)
+        assert str(caught.value) == f"counts and n must be integers, got {shown}"
+    # integer types other than int are counts
+    ev = evidence_from_counts(H_FAIR, k, np.array([2, 1]), np.int64(3))
+    assert (ev.n, ev.exact_ratio) == (3, Fraction(9, 8))
+    assert type(ev.n) is int
 
 
 def test_ratio_overflows_to_infinity():

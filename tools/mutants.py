@@ -4,9 +4,10 @@ Each row of MUTANTS names a file, an exact text that must occur in it once,
 the text that replaces it, and the tests expected to fail on the change.
 The script first runs every named test on an unmutated copy of the
 repository, where they must pass. Then, for each row, it copies the
-repository again, applies the change, runs only that row's tests and prints
-"killed" when they fail or "survived" when they pass. From the root of a
-source checkout:
+repository again, applies the change and runs that row's tests, each to its
+end. It prints "killed" when every one of them fails, and otherwise
+"survived" with each named test that passed on the mutant. From the root of
+a source checkout:
 
     python tools/mutants.py [NAME ...]
 
@@ -138,7 +139,8 @@ MUTANTS = (
         "threading.main_thread() else (seed.rng(i ^ 1) for i in span)\n",
         ("tests/test_harness.py::"
          "test_per_replication_verdicts_do_not_depend_on_the_worker_count[lr-n]",
-         "tests/test_golden.py::test_simulation_matches_golden_csv[c12-optional-stopping]"),
+         "tests/test_golden.py::test_simulation_matches_golden_csv[c12-optional-stopping]",
+         "tests/test_golden.py::test_simulation_matches_golden_csv[c11-universal-power]"),
     ),
     # replications narrower than _POOL_WIDTH run on the calling thread
     Mutant(
@@ -339,6 +341,33 @@ MUTANTS = (
          "tests/test_evidential.py::test_counts_path_equals_streaming_fold_exact",
          "tests/test_evidential.py::test_counts_path_matches_streaming_fold_float"),
     ),
+    # a long sample's exact ratio is built in lowest terms: a factor shared
+    # across the line becomes its own factor with the exponents' sum, and the
+    # integers below the line count against those above it
+    Mutant(
+        "lowest-terms-shared-factor-dropped",
+        "src/testlab/evidential.py",
+        "((g, e + f), (x // g, e), (y // g, f))",
+        "((x // g, e), (y // g, f))",
+        ("tests/test_evidential.py::test_long_sample_ratio_equals_the_fraction_product",
+         "tests/test_evidential.py::test_update_folds_onto_a_lowest_terms_ratio"),
+    ),
+    Mutant(
+        "lowest-terms-denominator-exponent-added",
+        "src/testlab/evidential.py",
+        "(pk.denominator, -c)",
+        "(pk.denominator, c)",
+        ("tests/test_evidential.py::test_long_sample_ratio_equals_the_fraction_product",
+         "tests/test_evidential.py::test_update_folds_onto_a_lowest_terms_ratio"),
+    ),
+    # counts are integers: a float count would be an exponent of the ratio
+    Mutant(
+        "counts-integer-check-removed",
+        "src/testlab/evidential.py",
+        "        counts, n = tuple(map(operator.index, counts)), operator.index(n)\n",
+        "        pass\n",
+        ("tests/test_evidential.py::test_evidence_from_counts_validates_counts",),
+    ),
     # the posterior of K is 0, not an overflow, once exp(-log odds) leaves
     # the double range
     Mutant(
@@ -395,7 +424,7 @@ def _run_tests(copy: Path, tests) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(copy / "src"), os.environ.get("PYTHONPATH")))
     )
-    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+    argv = [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
             "-o", "addopts=", *tests]
     return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
 
@@ -436,9 +465,17 @@ def main(argv: list[str]) -> int:
             target.write_text(target.read_text().replace(m.old, m.new))
             t0 = time.perf_counter()
             result = _run_tests(copy, m.tests)
-            verdict = {0: "survived", 1: "killed"}.get(result.returncode, "error")
+            # -rA's summary has one "PASSED <id>" line per test that passed
+            passed = set(result.stdout.splitlines())
+            survivors = [t for t in m.tests if f"PASSED {t}" in passed]
+            if result.returncode not in (0, 1):
+                verdict = "error"
+            else:
+                verdict = "survived" if survivors else "killed"
             verdicts.append(verdict)
             print(f"{m.name:<32} {verdict:<8} {time.perf_counter() - t0:5.1f} s", flush=True)
+            for test in survivors:
+                print(f"    passes on the mutant: {test}", flush=True)
             if verdict == "error":
                 print(result.stdout[-3000:], result.stderr[-3000:], file=sys.stderr)
             shutil.rmtree(copy)
