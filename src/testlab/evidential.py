@@ -143,8 +143,12 @@ def _exp_or_inf(x: float) -> float:
 _MANY_COUNTS = 64
 #: Bits of the unreduced numerator and denominator together, per symbol
 #: seen, from which building the ratio in lowest terms beats Fraction's
-#: quadratic gcd (the refinement's cost grows with the symbols seen).
+#: quadratic gcd, when no symbol's P_K/P_H has a numerator or denominator
+#: wider than _NARROW bits. The refinement's cost grows with the symbols
+#: seen and with that width w: wider ones cross over near sqrt(w / _NARROW)
+#: times as many bits.
 _GCD_BITS_PER_SYMBOL = 1000
+_NARROW = 16
 
 
 class _LowestTerms(NamedTuple):
@@ -163,14 +167,6 @@ class _LowestTerms(NamedTuple):
 numbers.Rational.register(_LowestTerms)
 
 
-def _product(xs: list) -> int:
-    """prod(xs) by a balanced tree, so that big factors meet big ones."""
-    while len(xs) > 1:
-        pairs = [xs[j] * xs[j + 1] for j in range(0, len(xs) - 1, 2)]
-        xs = pairs + xs[2 * len(pairs):]
-    return xs[0] if xs else 1
-
-
 def _long_ratio(h: FiniteDistribution, k: FiniteDistribution, seen) -> Optional[Fraction]:
     """prod (P_K/P_H)**c over (i, c) in seen, in lowest terms with no gcd or
     division on big integers; None when the unreduced product is small
@@ -184,15 +180,21 @@ def _long_ratio(h: FiniteDistribution, k: FiniteDistribution, seen) -> Optional[
     every factor of positive exponent coprime to every factor of negative
     one. Their two products are the numerator and the denominator.
     """
-    bits, exps = 0, {}
+    bits, width = 0, _NARROW
+    for i, c in seen:
+        ph, pk = h.probs[i], k.probs[i]
+        a = (pk.numerator * ph.denominator).bit_length()
+        b = (pk.denominator * ph.numerator).bit_length()
+        bits += c * (a + b)
+        width = max(width, a, b)
+    if bits < _GCD_BITS_PER_SYMBOL * len(seen) * math.sqrt(width / _NARROW):
+        return None
+    exps = {}
     for i, c in seen:
         ph, pk = h.probs[i], k.probs[i]
         for v, e in ((pk.numerator, c), (ph.denominator, c),
                      (pk.denominator, -c), (ph.numerator, -c)):
-            bits += c * v.bit_length()
             exps[v] = exps.get(v, 0) + e
-    if bits < _GCD_BITS_PER_SYMBOL * len(seen):
-        return None
     up, down = {}, {}  # no key of one is a key of the other, nor shares a factor
     todo = [(v, e) for v, e in exps.items() if e and v > 1]
     while todo:
@@ -206,8 +208,8 @@ def _long_ratio(h: FiniteDistribution, k: FiniteDistribution, seen) -> Optional[
                 break
         else:
             same[x] = same.get(x, 0) + e
-    return Fraction(_LowestTerms(_product([v**e for v, e in up.items()]),
-                                 _product([v**-e for v, e in down.items()])))
+    return Fraction(_LowestTerms(math.prod(v**e for v, e in up.items()),
+                                 math.prod(v**-e for v, e in down.items())))
 
 
 def _fold(

@@ -10,7 +10,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from testlab import (
@@ -177,6 +177,9 @@ def _as_float(d):
 
 
 @given(_hypotheses_and_sample())
+# a sample that falsifies H and then K, which random draws reach only at times
+@example((FiniteDistribution(("a", "b"), (0, Fraction(1))),
+          FiniteDistribution(("a", "b"), (Fraction(1), 0)), ["a", "b"]))
 @settings(max_examples=300, deadline=None)
 def test_counts_path_equals_streaming_fold_exact(case):
     h, k, xs = case
@@ -315,6 +318,20 @@ def test_long_sample_cases_reach_each_route(route):
                 settings=settings(database=None, max_examples=500, derandomize=True,
                                   phases=[Phase.generate]))
     _folds_to_oracle(*case)
+
+
+def test_wide_masses_need_more_bits_per_symbol_for_the_lowest_terms_route():
+    # about 1 470 bits per symbol each: 9-bit per-symbol products are built
+    # in lowest terms, 64-bit ones are declined until about 2 000 bits
+    def weights(ws):
+        return FiniteDistribution(tuple("abcdefgh"), tuple(Fraction(w, sum(ws)) for w in ws))
+
+    narrow = weights(range(1, 9)), weights(range(9, 17))
+    wide = weights([2**30 + 3 * i for i in range(8)]), weights([2**30 - 5 * i for i in range(8)])
+    for (h, k), c, route in ((narrow, 110, "lowest-terms"), (wide, 12, "declined"),
+                             (wide, 24, "lowest-terms")):
+        assert _route((h, k, (c,) * 8)) == route
+        _folds_to_oracle(h, k, (c,) * 8)
 
 
 def test_update_folds_onto_a_lowest_terms_ratio():

@@ -6,8 +6,9 @@ The script first runs every named test on an unmutated copy of the
 repository, where they must pass. Then, for each row, it copies the
 repository again, applies the change and runs that row's tests, each to its
 end. It prints "killed" when every one of them fails, and otherwise
-"survived" with each named test that passed on the mutant. From the root of
-a source checkout:
+"survived" with each named test that passed on the mutant; a parametrized
+test named without an [id] passes when any of its cases does. From the
+root of a source checkout:
 
     python tools/mutants.py [NAME ...]
 
@@ -142,14 +143,15 @@ MUTANTS = (
          "tests/test_golden.py::test_simulation_matches_golden_csv[c12-optional-stopping]",
          "tests/test_golden.py::test_simulation_matches_golden_csv[c11-universal-power]"),
     ),
-    # replications narrower than _POOL_WIDTH run on the calling thread
+    # replications narrower than _POOL_WIDTH run on the calling thread; the
+    # test's case at _POOL_WIDTH is pooled with or without the gate
     Mutant(
         "pool-width-gate-removed",
         "src/testlab/harness.py",
         "workers if width >= _POOL_WIDTH else 1",
         "workers if width >= 0 else 1",
         ("tests/test_harness.py::"
-         "test_only_replications_at_least_pool_width_wide_run_on_pool_threads",),
+         "test_only_replications_at_least_pool_width_wide_run_on_pool_threads[8192-False]",),
     ),
     # every scenario requirement raises through one check, the Scenario's own
     # fields included, so inverted it rejects every valid scenario; the test
@@ -360,6 +362,15 @@ MUTANTS = (
         ("tests/test_evidential.py::test_long_sample_ratio_equals_the_fraction_product",
          "tests/test_evidential.py::test_update_folds_onto_a_lowest_terms_ratio"),
     ),
+    # wide per-symbol integers need more bits before the split pays
+    Mutant(
+        "lowest-terms-width-ignored",
+        "src/testlab/evidential.py",
+        " * math.sqrt(width / _NARROW):",
+        ":",
+        ("tests/test_evidential.py::"
+         "test_wide_masses_need_more_bits_per_symbol_for_the_lowest_terms_route",),
+    ),
     # counts are integers: a float count would be an exponent of the ratio
     Mutant(
         "counts-integer-check-removed",
@@ -465,13 +476,16 @@ def main(argv: list[str]) -> int:
             target.write_text(target.read_text().replace(m.old, m.new))
             t0 = time.perf_counter()
             result = _run_tests(copy, m.tests)
-            # -rA's summary has one "PASSED <id>" line per test that passed
-            passed = set(result.stdout.splitlines())
-            survivors = [t for t in m.tests if f"PASSED {t}" in passed]
+            # -rA's summary has one "PASSED <id>" line per test that passed,
+            # and one per parametrization of a test named without its [id]
+            passed = result.stdout.splitlines()
+            survivors = [t for t in m.tests
+                         if any(line == f"PASSED {t}" or line.startswith(f"PASSED {t}[")
+                                for line in passed)]
             if result.returncode not in (0, 1):
                 verdict = "error"
             else:
-                verdict = "survived" if survivors else "killed"
+                verdict = "survived" if result.returncode == 0 or survivors else "killed"
             verdicts.append(verdict)
             print(f"{m.name:<32} {verdict:<8} {time.perf_counter() - t0:5.1f} s", flush=True)
             for test in survivors:
