@@ -18,12 +18,7 @@ def _content_lines(path) -> list[str]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not a UTF-8 text file") from exc
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            lines.append(line)
-    return lines
+    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
 
 
 def read_distribution(path) -> FiniteDistribution:

@@ -523,27 +523,29 @@ def _run_hoeffding(scenario, report, workers):
     report.values["delta"] = delta
     report.values["radius"] = radius
 
-    def divergences(u):
-        counts = _row_counts(_step_indices(truth, u), h.size)
-        return _divergences(counts, n, log_h).reshape(u.shape[:-1])
-
-    # each replication's divergence, not its verdict, so that its digest
+    # each replication's symbol counts, not its verdict, so that its digest
     # sees which replication drew what
-    stats = np.empty(scenario.reps)
-    _replicate(scenario.seed, workers, stats, n, "random", divergences, report)
+    counts = np.empty((scenario.reps, h.size), np.min_scalar_type(n))
+    _replicate(scenario.seed, workers, counts, n, "random",
+               lambda u: _symbol_counts(truth, u), report)
+    stats = _divergences(counts, n, log_h)
     _tally(report, stats > radius, hit="reject_h", miss="accept_h", rate="reject_rate")
 
 
-def _row_counts(idx, size):
-    """How often each of size symbols shows in each row of indices idx,
-    one row when idx is 1-D."""
+def _symbol_counts(d, u):
+    """Each row's count of each of d's symbols among n uniforms u, in the
+    smallest unsigned type that holds n. ge[j] uniforms reach step j of d's
+    float CDF (_float_steps[j - 1]; all reach step 0), and _step_indices
+    draws symbol j from those that reach step j but not step j + 1."""
     import numpy as np
 
-    idx = np.atleast_2d(idx)
-    rows = len(idx)
-    offsets = size * np.arange(rows)[:, None]
-    counts = np.bincount((idx + offsets).ravel(), minlength=rows * size)
-    return counts.reshape(rows, size)
+    n = u.shape[-1]
+    dtype = np.min_scalar_type(n)
+    ge = np.zeros(u.shape[:-1] + (d.size + 1,), dtype)
+    ge[..., 0] = n
+    for j, step in enumerate(d._float_steps, 1):
+        ge[..., j] = (u >= step).view(np.uint8).sum(axis=-1, dtype=dtype)
+    return ge[..., :-1] - ge[..., 1:]
 
 
 def _divergences(counts, n, log_h):
@@ -577,6 +579,7 @@ def _run_optional_stopping(scenario, report, workers):
     report.values["looks"] = " ".join(str(n) for n in looks)
     horizon = looks[-1]
     marks = np.array(looks) - 1
+    starts = np.array((0,) + looks[:-1])  # where each look's segment of a path starts
     log_s = math.log(s)
 
     # each null gives fill, draw(block) -> (statistic at each look, ln-ratio
@@ -619,13 +622,14 @@ def _run_optional_stopping(scenario, report, workers):
 
         def draw(u):
             idx = _step_indices(h, u)  # 1 for the second symbol
-            return np.cumsum(idx, axis=-1)[..., marks], table.take(idx)
+            return np.add.reduceat(idx, starts, axis=-1).cumsum(axis=-1), table.take(idx)
 
     def monitor(block):
         statistic, steps = draw(block)
-        prefix_max = np.maximum.accumulate(np.cumsum(steps, axis=-1), axis=-1)
+        path_max = np.maximum.reduceat(np.cumsum(steps, axis=-1), starts, axis=-1)
         rejected = np.maximum.accumulate(statistic >= cut, axis=-1)
-        return np.stack((rejected, prefix_max[..., marks] >= log_s), axis=-2)
+        crossed = np.maximum.accumulate(path_max, axis=-1) >= log_s
+        return np.stack((rejected, crossed), axis=-2)
 
     out = np.zeros((scenario.reps, 2, len(looks)), dtype=bool)
     _replicate(scenario.seed, workers, out, horizon, fill, monitor, report)

@@ -41,7 +41,7 @@ from testlab import (
 )
 from testlab.cli import main
 from testlab.dist import as_probability, parse_probability, sample
-from testlab.files import read_distribution
+from testlab.files import read_distribution, read_symbols
 from testlab.info_geometry import types_bound_radius
 
 PAPER_SUITE = Path(__file__).resolve().parents[1] / "paper-suite"
@@ -476,6 +476,16 @@ def test_input_error_exits_1(capsys):
 def _write(path, text):
     path.write_text(text)
     return path
+
+
+def test_data_files_skip_blank_and_comment_lines_in_either_line_ending(tmp_path):
+    # a line is stripped before it is read, so indented and CRLF lines are
+    # read as their text, and an indented # starts a comment
+    data = "a\r\n\r\n# note\r\n   # indented\r\n  b  \r\n \t \n\tc\n#\n\nd"
+    assert read_symbols(_write(tmp_path / "data.txt", data)) == ["a", "b", "c", "d"]
+    dist = "# h\r\n\r\n a\t1/4 \r\n  # b\t1/2\r\nb\t3/4\r\n"
+    got = read_distribution(_write(tmp_path / "h.tsv", dist))
+    assert got == FiniteDistribution(("a", "b"), ("1/4", "3/4"))
 
 
 def _command(*argv):

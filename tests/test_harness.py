@@ -6,6 +6,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from testlab import (
     FiniteDistribution,
@@ -23,8 +25,10 @@ from testlab import (
     robbins_violation_probability,
     run_scenario,
 )
-from testlab.dist import _finite_indices
+from testlab.dist import _finite_indices, _step_indices, gaussian_quantile
 from testlab.errors import ScenarioError
+from testlab.evidential import log_ratio_table
+from testlab.fisher import _first_significant_count
 from testlab.harness import Scenario
 
 from helpers import bernoulli
@@ -419,6 +423,67 @@ def test_block_divergence_sums_each_row_as_its_nonzero_terms_alone(k):
         freqs = row[seen] / n
         want = np.sum(freqs * (np.log(freqs) - log_h[seen]))
         assert float(d).hex() == float(want).hex(), row
+
+
+@given(
+    weights=st.lists(st.integers(0, 4), min_size=2, max_size=8).filter(any),
+    n=st.sampled_from([1, 255, 256, 65_535, 65_536, 70_000]),
+    rows=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(weights=[2, 0, 1, 0], n=256, rows=3, seed=0)  # interior and trailing zeros
+@example(weights=[0, 1], n=1, rows=None, seed=0)  # the one step is 0.0
+@settings(max_examples=60, deadline=None)
+def test_threshold_counts_equal_the_index_counts(weights, n, rows, seed):
+    # rows None is one 1-D row; uniforms set exactly to a CDF step reach it,
+    # and those just below it do not
+    d = FiniteDistribution(tuple(range(len(weights))),
+                           tuple(Fraction(w, sum(weights)) for w in weights))
+    u = np.random.default_rng(seed).random(n if rows is None else (rows, n))
+    steps = d._float_steps
+    special = np.concatenate([steps, np.nextafter(steps, 0.0)])
+    u.flat[: min(special.size, u.size)] = special[: u.size]
+    counts = harness._symbol_counts(d, u)
+    assert counts.dtype == np.min_scalar_type(n)
+    assert counts.shape == u.shape[:-1] + (d.size,)
+    for got, row in zip(np.atleast_2d(counts), np.atleast_2d(u)):
+        want = np.bincount(_step_indices(d, row), minlength=d.size)
+        assert got.tolist() == want.tolist()
+
+
+_NULLS = {
+    "gaussian": {"gaussian": GaussianPair(0.0, 0.0, 1.0)},
+    "finite": {},
+}
+
+
+@pytest.mark.parametrize("looks", ["1 4 5 6 20", "1", "9", "3 10 11 40"])
+@pytest.mark.parametrize("null", sorted(_NULLS))
+def test_segment_reductions_equal_the_full_width_reductions(null, looks):
+    # the monitor reads each look's segment of a path; its booleans must be
+    # those of the running maximum and count at every step, read at the looks
+    params = {"alpha": "0.5", "looks": looks, "s": "1.4"}
+    scenario = _scenario("optional-stopping", 3, params, **_NULLS[null])
+    [(_, _, width, fill, monitor)] = _replicated(lambda: run_scenario(scenario), 1)
+    looks = np.array([int(n) for n in looks.split()])
+    marks = looks - 1
+    alpha, log_s = 0.5, math.log(1.4)  # one step can reject and cross
+    block = getattr(np.random.default_rng(len(marks) + width), fill)((400, width))
+    if null == "gaussian":  # mu 0, sigma 1 and the default eta of 1/2
+        statistic = np.cumsum(block, axis=-1)[:, marks] / np.sqrt(looks)
+        cut = -gaussian_quantile(alpha)
+        steps = block * 0.5 - 0.125
+    else:
+        idx = _step_indices(H_FAIR, block)
+        statistic = np.cumsum(idx, axis=-1)[:, marks]
+        cut = np.array([_first_significant_count(m, H_FAIR.probs[1], alpha) for m in looks])
+        steps = log_ratio_table(H_FAIR, K_THREEQ).take(idx)
+    path_max = np.maximum.accumulate(np.cumsum(steps, axis=-1), axis=-1)
+    want = np.stack((np.maximum.accumulate(statistic >= cut, axis=-1),
+                     path_max[:, marks] >= log_s), axis=-2)
+    assert 0 < want.mean() < 1
+    assert np.array_equal(monitor(block), want)
+    assert np.array_equal(monitor(block[7]), want[7])
 
 
 def test_hoeffding_truth_needs_the_hypothesis_alphabet():

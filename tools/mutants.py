@@ -190,6 +190,37 @@ MUTANTS = (
         ("tests/test_golden.py::test_simulation_matches_golden_csv[inline-bayes-H]",
          "tests/test_golden.py::test_simulation_matches_golden_csv[c11-universal-power]"),
     ),
+    # the universal test reads each replication's symbol counts off truth's
+    # float CDF: a uniform equal to a step reaches it, as in _step_indices,
+    # and every uniform reaches step 0, so symbol 0 counts those below step 1
+    Mutant(
+        "hoeffding-count-strict",
+        "src/testlab/harness.py",
+        "(u >= step).view(np.uint8)",
+        "(u > step).view(np.uint8)",
+        ("tests/test_harness.py::test_threshold_counts_equal_the_index_counts",),
+    ),
+    Mutant(
+        "hoeffding-total-count-dropped",
+        "src/testlab/harness.py",
+        "    ge[..., 0] = n\n",
+        "",
+        ("tests/test_harness.py::test_threshold_counts_equal_the_index_counts",
+         "tests/test_golden.py::"
+         "test_simulation_matches_golden_csv[c11-universal-null-k2-n1000]"),
+    ),
+    # optional stopping reduces each look's segment of a path, the first
+    # from step 0 and each other from the step after the previous look
+    Mutant(
+        "looks-segment-starts-shifted",
+        "src/testlab/harness.py",
+        "starts = np.array((0,) + looks[:-1])",
+        "starts = np.array((0,) + looks[:-1]) + 1",
+        ("tests/test_harness.py::test_segment_reductions_equal_the_full_width_reductions",
+         "tests/test_golden.py::test_simulation_matches_golden_csv[c12-optional-stopping]",
+         "tests/test_golden.py::"
+         "test_simulation_matches_golden_csv[inline-optional-stopping-finite]"),
+    ),
     # importing testlab and running an exact subcommand load no numpy; the
     # Monte Carlo functions import it on first use
     Mutant(
