@@ -112,6 +112,18 @@ def log_probability(p: Probability) -> float:
     return math.log(p)  # NaN
 
 
+def _label_index(alphabet: tuple) -> dict:
+    """Each label's position in alphabet, whose labels must be hashable and
+    unique."""
+    try:
+        index = {x: i for i, x in enumerate(alphabet)}
+    except TypeError as exc:
+        raise DistributionError("alphabet labels must be hashable") from exc
+    if len(index) != len(alphabet):
+        raise DistributionError("alphabet labels must be unique")
+    return index
+
+
 @dataclass(frozen=True)
 class FiniteDistribution:
     """Probability vector over a finite, ordered alphabet.
@@ -134,12 +146,7 @@ class FiniteDistribution:
             raise DistributionError(
                 f"{len(alphabet)} symbols but {len(raw)} probabilities"
             )
-        try:
-            unique = len(set(alphabet))
-        except TypeError as exc:
-            raise DistributionError("alphabet labels must be hashable") from exc
-        if unique != len(alphabet):
-            raise DistributionError("alphabet labels must be unique")
+        index = _label_index(alphabet)
         probs = tuple(as_probability(p) for p in raw)
         if any(isinstance(p, float) for p in probs):
             probs = tuple(float(p) for p in probs)
@@ -159,7 +166,7 @@ class FiniteDistribution:
             raise DistributionError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_index", {x: i for i, x in enumerate(alphabet)})
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def uniform(cls, alphabet: Sequence) -> "FiniteDistribution":
@@ -202,6 +209,11 @@ class FiniteDistribution:
         return tuple(map(log_probability, self.probs))
 
     @cached_property
+    def _parts(self) -> tuple:
+        """(numerator, denominator) of each exact mass, read once."""
+        return tuple((p.numerator, p.denominator) for p in self.probs)
+
+    @cached_property
     def _float_steps(self) -> np.ndarray:
         import numpy as np
 
@@ -234,7 +246,7 @@ class EmpiricalDistribution:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_index", {x: i for i, x in enumerate(alphabet)})
+        object.__setattr__(self, "_index", _label_index(alphabet))
 
     def count(self, x) -> int:
         try:
@@ -251,17 +263,22 @@ class EmpiricalDistribution:
         )
 
 
-def empirical(xs: Sequence, alphabet: Sequence) -> EmpiricalDistribution:
-    """Count symbol multiplicities; every symbol must be in the alphabet."""
-    labels = tuple(alphabet)
-    index = {x: i for i, x in enumerate(labels)}
-    counts = [0] * len(labels)
+def _count(xs: Sequence, index: dict) -> list:
+    """How often each label occurs in xs, by index's label -> position map;
+    every symbol must be a label."""
+    counts = [0] * len(index)
     for x in xs:
         try:
             counts[index[x]] += 1
         except (KeyError, TypeError):
             raise UnknownSymbolError(f"symbol {x!r} not in alphabet") from None
-    return EmpiricalDistribution(labels, tuple(counts), len(xs))
+    return counts
+
+
+def empirical(xs: Sequence, alphabet: Sequence) -> EmpiricalDistribution:
+    """Count symbol multiplicities; every symbol must be in the alphabet."""
+    labels = tuple(alphabet)
+    return EmpiricalDistribution(labels, tuple(_count(xs, _label_index(labels))), len(xs))
 
 
 def _check_normal(sigma, *means) -> None:

@@ -4,17 +4,20 @@ The running log likelihood ratio ln r_n = sum ln P_K(x_i)/P_H(x_i) is the
 central object. It depends on the sample only through its symbol counts,
 so batch evidence (``evidence_from_sample``, ``evidence_from_counts``) is
 computed from one counting pass: r_n = prod (P_K(x)/P_H(x))**c_x over the
-at most k counted symbols. ``update`` folds in one observation at a time
-and is meant for streaming, where the counts are not known in advance, as
-a one-count step of the same fold, so batch and streaming evidence share
-one support rule and one arithmetic. When both hypotheses are rational,
-the ratio itself is carried as an exact Fraction so batch order cannot
-perturb anything; in float mode the log increments, read from each
-distribution's cached ``log_probs``, are summed directly. Support
-violations are mapped to exact +/- infinity: an observation impossible
-under H is decisive for K, and vice versa.
+at most k counted symbols. A sample is counted once, against H's alphabet,
+and no empirical distribution is built. ``update`` folds in one
+observation at a time and is meant for streaming, where the counts are not
+known in advance, as a one-count step of the same fold, so batch and
+streaming evidence share one support rule and one arithmetic. When both
+hypotheses are rational, the ratio itself is carried as an exact Fraction
+so batch order cannot perturb anything; in float mode the log increments,
+read from each distribution's cached ``log_probs``, are summed directly.
+Support violations are mapped to exact +/- infinity: an observation
+impossible under H is decisive for K, and vice versa. Zero mass is read
+off the same cached logs, which are -inf exactly there.
 
-A short sample's exact ratio is the unreduced product, reduced by
+A short sample's exact ratio is the unreduced product of each
+distribution's cached numerator and denominator ints, reduced by
 Fraction. A long one's would make Fraction run a gcd and a division on
 big integers, which CPython takes quadratic time for, so it is built in
 lowest terms from the per-symbol integers instead (``_long_ratio``) and
@@ -36,9 +39,9 @@ from .dist import (
     FiniteDistribution,
     GaussianPair,
     Probability,
+    _count,
     _show,
     as_probability,
-    empirical,
     log_probability,
     require_same_alphabet,
 )
@@ -220,16 +223,17 @@ def _fold(
     float ratio arithmetic are written, at a cost set by len(seen)."""
     h_new = k_new = False
     n = ev.n
+    lh, lk = h.log_probs, k.log_probs
     for i, c in seen:
         n += c
-        ph, pk = h.probs[i], k.probs[i]
-        if ph == 0 or pk == 0:
-            if ph == 0 and pk == 0:
+        h_zero, k_zero = lh[i] == -math.inf, lk[i] == -math.inf
+        if h_zero or k_zero:
+            if h_zero and k_zero:
                 raise ImpossibleObservationError(
                     f"symbol {h.alphabet[i]!r} has probability zero under both hypotheses"
                 )
-            h_new = h_new or ph == 0
-            k_new = k_new or pk == 0
+            h_new = h_new or h_zero
+            k_new = k_new or k_zero
     if (h_new or ev.falsified == "H") and (k_new or ev.falsified == "K"):
         raise ImpossibleObservationError(
             "observations are jointly impossible under both hypotheses"
@@ -245,10 +249,11 @@ def _fold(
         ratio = _long_ratio(h, k, seen) if n - ev.n >= _MANY_COUNTS else None
         if ratio is None:
             num = den = 1
+            hp, kp = h._parts, k._parts
             for i, c in seen:
-                ph, pk = h.probs[i], k.probs[i]
-                num *= (pk.numerator * ph.denominator) ** c
-                den *= (pk.denominator * ph.numerator) ** c
+                (h_num, h_den), (k_num, k_den) = hp[i], kp[i]
+                num *= (k_num * h_den) ** c
+                den *= (k_den * h_num) ** c
             # normalised once, by a gcd that is cheap at this size; a running
             # ratio's product then needs only small gcds
             ratio = Fraction(num, den)
@@ -256,7 +261,6 @@ def _fold(
             ratio *= ev.exact_ratio
         return LogEvidence(log_probability(ratio), n, None, ratio)
     total = ev.sum_log_lr
-    lh, lk = h.log_probs, k.log_probs
     for i, c in seen:
         total += c * (lk[i] - lh[i])
     return LogEvidence(total, n, None, None)
@@ -308,8 +312,8 @@ def evidence_from_counts(
 
 
 def _evidence(h: FiniteDistribution, k: FiniteDistribution, counts, n) -> LogEvidence:
-    """evidence_from_counts for counts known to pass its checks, as those of
-    an EmpiricalDistribution over h.alphabet do."""
+    """evidence_from_counts for counts known to pass its checks, as the
+    counts of a sample of n symbols over h.alphabet do."""
     if n == 0:
         return _EMPTY
     require_same_alphabet(h, k)
@@ -320,8 +324,7 @@ def evidence_from_sample(
     h: FiniteDistribution, k: FiniteDistribution, xs: Sequence
 ) -> LogEvidence:
     """Evidence of a whole sample, computed from its symbol counts."""
-    emp = empirical(xs, h.alphabet)
-    return _evidence(h, k, emp.counts, emp.n)
+    return _evidence(h, k, _count(xs, h._index), len(xs))
 
 
 def _strength_for_h(r) -> GradeStrength:

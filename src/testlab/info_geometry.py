@@ -5,7 +5,10 @@ empirical distribution's divergences from the two hypotheses; that single
 identity links the ratio threshold, the maximum-a-posteriori rule and the
 nearest-hypothesis rule, and everything in this module leans on it. The
 convention 0*ln(0) = 0 applies throughout, and a p-positive symbol with
-zero q-mass makes the divergence exactly +inf.
+zero q-mass makes the divergence exactly +inf. A sample is counted once,
+against the hypothesis's alphabet; its evidence and its divergences are
+computed from those counts, and a sample's two divergences share one list
+of its log terms.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 from .dist import (
     EmpiricalDistribution,
     FiniteDistribution,
+    _count,
     empirical,
     log_probability,
     require_same_alphabet,
@@ -62,37 +66,48 @@ def kl(
     ``log_probability`` gives it: log(c) - log(n) can differ in the last bit.
     """
     if isinstance(p, EmpiricalDistribution):
-        n = p.n
-        if n == 0:
+        if p.n == 0:
             raise EmptySampleError("divergence of an empty sample is undefined")
-        terms = [(c / n, math.log(c // g) - math.log(n // g) if c else -math.inf)
-                 for c in p.counts for g in (math.gcd(c, n),)]
+        terms = _empirical_terms(p.counts, p.n)
     else:
         terms = zip(map(float, p.probs), p.log_probs)
     require_same_alphabet(p, q)
+    return Divergence(_divergence(terms, q.log_probs))
+
+
+def _empirical_terms(counts, n: int) -> list:
+    """(c/n, ln(c/n)) for each count c of a sample of n > 0 symbols."""
+    return [(c / n, math.log(c // g) - math.log(n // g) if c else -math.inf)
+            for c in counts for g in (math.gcd(c, n),)]
+
+
+def _divergence(terms, q_logs) -> float:
+    """sum w (log_w - log_q) over p's (w, log_w) terms and q's logs."""
     total = 0.0
-    for (w, log_w), log_q in zip(terms, q.log_probs):
+    for (w, log_w), log_q in zip(terms, q_logs):
         if log_w == -math.inf:  # zero mass, however small a float w may be
             continue
         if log_q == -math.inf:
-            return Divergence(math.inf)
+            return math.inf
         total += w * (log_w - log_q)
     if -1e-12 < total < 0.0:
         # sums of signed terms can land a hair below zero; the true value
         # cannot
         total = 0.0
-    return Divergence(total)
+    return total
 
 
 def _evidence_and_divergences(
     h: FiniteDistribution, k: FiniteDistribution, xs: Sequence
 ) -> tuple[LogEvidence, float, float]:
-    """Count xs once: (evidence, D(emp||h), D(emp||k)), divergences 0 if empty."""
+    """Count xs once: (evidence, D(emp||h), D(emp||k)), divergences 0 if
+    empty; both divergences read one list of the sample's terms."""
     emp = empirical(xs, h.alphabet)
     ev = _evidence(h, k, emp.counts, emp.n)
     if emp.n == 0:
         return ev, 0.0, 0.0
-    return ev, float(kl(emp, h)), float(kl(emp, k))
+    terms = _empirical_terms(emp.counts, emp.n)
+    return ev, _divergence(terms, h.log_probs), _divergence(terms, k.log_probs)
 
 
 def loglr_kl_identity_check(
@@ -229,8 +244,7 @@ def hoeffding_test(
     n = len(xs)
     if n == 0:
         raise EmptySampleError("universal test needs at least one observation")
-    emp = empirical(xs, h.alphabet)
-    statistic = float(kl(emp, h))
+    statistic = _divergence(_empirical_terms(_count(xs, h._index), n), h.log_probs)
     radius = cfg.radius(n, h.size)
     decision = (
         UniversalDecision.ACCEPT_H if statistic <= radius else UniversalDecision.REJECT_H

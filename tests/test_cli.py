@@ -515,6 +515,14 @@ _INPUT_ERRORS = {
                        "counts must be nonnegative"),
     "count-unknown-symbol": (lambda path: empirical(["a"], ["a"]).count("z"),
                              "symbol 'z' not in alphabet"),
+    "empirical-repeated-label": (lambda path: empirical(["a"], ["a", "a"]),
+                                 "alphabet labels must be unique"),
+    "empirical-unhashable-label": (lambda path: empirical([], [["a"]]),
+                                   "alphabet labels must be hashable"),
+    "counts-repeated-label": (lambda path: EmpiricalDistribution(("a", "a"), (0, 1), 1),
+                              "alphabet labels must be unique"),
+    "counts-unhashable-label": (lambda path: EmpiricalDistribution(([1],), (1,), 1),
+                                "alphabet labels must be hashable"),
     "sample-a-number": (lambda path: sample(Fraction(1, 2), 3, Seed(0)),
                         "cannot sample from Fraction"),
     "distribution-line-without-tab": (

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from testlab import (
@@ -18,9 +18,13 @@ from testlab import (
     UniversalTestConfig,
     Verdict,
     empirical,
+    errors,
+    evidence_from_counts,
     evidence_from_sample,
     evidence_rate,
+    evidential,
     hoeffding_test,
+    info_geometry,
     kl,
     loglr_kl_identity_check,
     lr_threshold_as_kl_margin,
@@ -36,6 +40,7 @@ from testlab.errors import (
     InfiniteDivergenceError,
     InputError,
 )
+from testlab.info_geometry import HoeffdingResult, KlMarginVerdict
 
 from helpers import bernoulli, random_float_dist, random_rational_dist
 
@@ -472,3 +477,105 @@ def test_universal_test_power_grows_with_n():
         if hoeffding_test(H_FAIR, xs, cfg).decision is UniversalDecision.REJECT_H:
             rejected += 1
     assert rejected == 50
+
+
+# --- samples counted once, against the public counting route ---------------------
+
+
+@st.composite
+def _sample_calls(draw):
+    """Hypotheses over 1-6 symbols, exact, float or one of each, with zero
+    cells anywhere; a sample of 0-70 symbols that may hold one symbol
+    outside the alphabet, hashable or not; priors and a threshold."""
+    size = draw(st.integers(1, 6))
+    labels = tuple(string.ascii_lowercase[:size])
+
+    def dist():
+        weights = draw(st.lists(st.integers(0, 9), min_size=size, max_size=size).filter(any))
+        probs = tuple(Fraction(w, sum(weights)) for w in weights)
+        return FiniteDistribution(labels, tuple(map(float, probs)) if draw(st.booleans())
+                                  else probs)
+
+    h, k = dist(), dist()
+    n = draw(st.integers(0, 70))
+    xs = draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+    foreign = draw(st.sampled_from((None, None, None, "z", ["a"])))
+    if foreign is not None:
+        xs.insert(draw(st.integers(0, n)), foreign)
+    priors = Priors(draw(st.sampled_from((Fraction(1, 2), Fraction(1, 3), 0.75))))
+    s = draw(st.sampled_from((1, 2, 8, Fraction(3, 2), 4.0)))
+    return h, k, xs, priors, s
+
+
+def _public_counts(h, k, xs):
+    """(evidence, D(emp||h), D(emp||k)) through empirical,
+    evidence_from_counts and kl; divergences 0 for an empty sample."""
+    emp = empirical(xs, h.alphabet)
+    ev = evidence_from_counts(h, k, emp.counts, emp.n)
+    if emp.n == 0:
+        return ev, 0.0, 0.0
+    return ev, kl(emp, h).nats, kl(emp, k).nats
+
+
+def _public_identity(h, k, xs):
+    ev, d_h, d_k = _public_counts(h, k, xs)
+    return ev.sum_log_lr, ev.n * (d_h - d_k)
+
+
+def _public_margin(h, k, xs, s):
+    if not xs:
+        raise EmptySampleError("margin rule needs at least one observation")
+    evidential._check_threshold(s)
+    ev, d_h, d_k = _public_counts(h, k, xs)
+    margin = math.log(s) / len(xs)
+    if ev.exact_ratio is not None:
+        accept_k = threshold_verdict(ev, s) is Verdict.ACCEPT_K
+    else:
+        accept_k = d_h - margin >= d_k
+    return KlMarginVerdict(Verdict.ACCEPT_K if accept_k else Verdict.ACCEPT_H, margin, d_h, d_k)
+
+
+def _public_hoeffding(h, xs, cfg):
+    if not xs:
+        raise EmptySampleError("universal test needs at least one observation")
+    statistic = kl(empirical(xs, h.alphabet), h).nats
+    radius = cfg.radius(len(xs), h.size)
+    accept = statistic <= radius
+    return HoeffdingResult(UniversalDecision.ACCEPT_H if accept else UniversalDecision.REJECT_H,
+                           statistic, radius, len(xs))
+
+
+def _outcome(call):
+    """repr of call()'s value, or its error's type and message; an
+    exception other than a TestlabError fails the test."""
+    try:
+        return repr(call())
+    except errors.TestlabError as exc:
+        return type(exc), str(exc)
+
+
+_ONLY_A, _ONLY_B = (FiniteDistribution(("a", "b", "c"), ps)
+                    for ps in ((1, 0, 0), (0.0, 1.0, 0.0)))
+
+
+@given(_sample_calls())
+# a symbol with zero mass under both, a sample that each hypothesis's
+# support excludes, a symbol outside the alphabet and an unhashable one
+@example((_ONLY_A, _ONLY_B, ["a", "c"], Priors(Fraction(1, 2)), 2))
+@example((_ONLY_A, _ONLY_B, ["a", "b"], Priors(Fraction(1, 2)), 2))
+@example((H_FAIR, K_QUARTER, ["a", "z"], Priors(Fraction(1, 2)), 2))
+@example((H_FAIR, K_QUARTER, ["b", ["a"]], Priors(Fraction(1, 2)), 2))
+@settings(max_examples=400, deadline=None)
+def test_sample_calls_equal_the_public_counting_route(case):
+    h, k, xs, priors, s = case
+    cfg = UniversalTestConfig(delta=0.05)
+    pairs = (
+        (lambda: evidence_from_sample(h, k, xs), lambda: _public_counts(h, k, xs)[0]),
+        (lambda: loglr_kl_identity_check(h, k, xs), lambda: _public_identity(h, k, xs)),
+        (lambda: map_decide(h, k, priors, xs),
+         lambda: info_geometry._map_decision(priors, *_public_counts(h, k, xs))),
+        (lambda: lr_threshold_as_kl_margin(h, k, xs, s), lambda: _public_margin(h, k, xs, s)),
+        (lambda: hoeffding_test(h, xs, cfg), lambda: _public_hoeffding(h, xs, cfg)),
+    )
+    for call, reference in pairs:
+        assert _outcome(call) == _outcome(reference)

@@ -66,10 +66,38 @@ MUTANTS = (
     Mutant(
         "kl-log-of-float-q",
         "src/testlab/info_geometry.py",
-        "zip(terms, q.log_probs)",
-        "zip(terms, map(log_probability, map(float, q.probs)))",
+        "_divergence(terms, q.log_probs)",
+        "_divergence(terms, map(log_probability, map(float, q.probs)))",
         ("tests/test_info_geometry.py::"
          "test_kl_reads_the_log_of_a_q_mass_whose_float_underflows",),
+    ),
+    # a sample's two divergences read one list of its terms, each against
+    # its own hypothesis's logs
+    Mutant(
+        "divergence-k-reads-h-logs",
+        "src/testlab/info_geometry.py",
+        "_divergence(terms, h.log_probs), _divergence(terms, k.log_probs)",
+        "_divergence(terms, h.log_probs), _divergence(terms, h.log_probs)",
+        ("tests/test_info_geometry.py::test_sample_calls_equal_the_public_counting_route",
+         "tests/test_info_geometry.py::test_identity_randomized_full_support"),
+    ),
+    # a symbol outside the alphabet is an UnknownSymbolError, an unhashable
+    # one too
+    Mutant(
+        "count-unhashable-symbol-uncaught",
+        "src/testlab/dist.py",
+        "            counts[index[x]] += 1\n        except (KeyError, TypeError):\n",
+        "            counts[index[x]] += 1\n        except KeyError:\n",
+        ("tests/test_info_geometry.py::test_sample_calls_equal_the_public_counting_route",),
+    ),
+    # the exact product reads each mass's numerator and denominator, cached
+    Mutant(
+        "parts-num-den-swapped",
+        "src/testlab/dist.py",
+        "tuple((p.numerator, p.denominator) for p in self.probs)",
+        "tuple((p.denominator, p.numerator) for p in self.probs)",
+        ("tests/test_evidential.py::test_hand_computed_three_observations",
+         "tests/test_evidential.py::test_long_sample_ratio_equals_the_fraction_product"),
     ),
     Mutant(
         "log-probability-no-sign-check",
@@ -324,6 +352,15 @@ MUTANTS = (
          "tests/test_evidential.py::test_jointly_impossible_sequence_rejected",
          "tests/test_evidential.py::test_counts_path_equals_streaming_fold_exact",
          "tests/test_evidential.py::test_counts_path_matches_streaming_fold_float"),
+    ),
+    # zero mass is read off each hypothesis's own cached logs
+    Mutant(
+        "fold-zero-mass-reads-other-logs",
+        "src/testlab/evidential.py",
+        "h_zero, k_zero = lh[i] == -math.inf, lk[i] == -math.inf",
+        "h_zero, k_zero = lk[i] == -math.inf, lh[i] == -math.inf",
+        ("tests/test_evidential.py::test_support_exclusion_falsifies_h",
+         "tests/test_evidential.py::test_long_sample_ratio_equals_the_fraction_product"),
     ),
     Mutant(
         "fold-joint-check-removed",
