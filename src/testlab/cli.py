@@ -150,12 +150,7 @@ def _cmd_bayes(args):
 
 def _cmd_np(args):
     pair = GaussianPair(args.mu_h, args.mu_k, args.sigma)
-    if args.alpha is None:
-        rule, rates = neyman_pearson.midpoint_rule(pair, args.n)
-        kind = "midpoint"
-    else:
-        rule, rates = neyman_pearson.np_test(pair, args.n, args.alpha)
-        kind = "fixed-alpha"
+    kind, rule, rates = neyman_pearson._named_rule(pair, args.n, args.alpha)
     return [
         ("rule", kind),
         ("n", args.n),

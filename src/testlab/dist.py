@@ -43,7 +43,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M32 = 2**32 - 1
-_BLOCK = 1024  # replication indices hashed per numpy pass
 
 
 def parse_probability(text: str) -> Fraction:
@@ -349,8 +348,8 @@ class Seed:
     (``rng(i)`` for replication i) depend only on the values, never on
     call order, which is what makes chunked Monte Carlo runs merge-safe.
     Monte Carlo replications draw what ``rng(i)`` would from one generator
-    per chunk of replications, reseeded by ``_rep_rngs`` instead of built
-    anew: the chunk's seed words and PCG64 states are computed in numpy,
+    per span of replications, reseeded by ``_rep_rngs`` instead of built
+    anew: the span's seed words and PCG64 states are computed in numpy,
     and each replication writes its state into the generator's memory.
     """
 
@@ -383,16 +382,16 @@ class Seed:
         words = max(1, -(-self.stream.bit_length() // 32))
         return tuple(map(int, pool)), _INIT_A * pow(_MULT_A, 16 + 4 * words, 2**32) & _M32
 
-    def _block_words(self, block: int) -> np.ndarray:
+    def _span_words(self, span: range) -> np.ndarray:
         """(a, b, c, e): the uint64 words SeedSequence(root, (stream, i))
-        generates for PCG64, one row per i of the block: the word i is mixed
-        into each pool slot, then 8 words are hashed from the pool and paired
-        little-endian. Updates run in place, so a block allocates little."""
+        generates for PCG64, one row per i of span: the word i is mixed into
+        each pool slot, then 8 words are hashed from the pool and paired
+        little-endian. Updates run in place, so a span allocates little."""
         import numpy as np
 
         pool, hc = self._stream_pool
         u32 = np.uint32
-        i = np.arange(_BLOCK, dtype=u32) + block * _BLOCK
+        i = np.arange(span.start, span.stop, span.step, dtype=u32)
         mixed = []
         for p in pool:
             v = i ^ u32(hc)
@@ -403,7 +402,7 @@ class Seed:
             np.subtract(u32(_MIX_L * p & _M32), v, out=v)
             v ^= v >> 16
             mixed.append(v)
-        out = np.empty((_BLOCK, 8), "<u4")
+        out = np.empty((len(i), 8), "<u4")
         hc = _INIT_B
         for d in range(8):
             v = out[:, d]
@@ -415,26 +414,24 @@ class Seed:
 
     def _rep_rngs(self, span: range):
         """For each i of span, one generator set to the state ``rng(i)``
-        starts in, valid until the next is yielded. span lies within one
-        block of _BLOCK indices, whose seed words and PCG64 states are
-        computed once, in numpy. Each replication then copies its state and
-        inc words into the generator's pcg64_random_t and clears the 32-bit
-        draw it may have cached, as the ``state`` setter would, through
-        views of the generator's memory. Spans past 2**32, whose spawn key
-        takes two words, and a numpy whose PCG64 layout does not read back
-        (see _pcg_word_order) build each generator with ``rng(i)``."""
+        starts in, valid until the next is yielded. The span's seed words
+        and PCG64 states are computed once, in numpy. Each replication then
+        copies its state and inc words into the generator's pcg64_random_t
+        and clears the 32-bit draw it may have cached, as the ``state``
+        setter would, through views of the generator's memory. Spans past
+        2**32, whose spawn key takes two words, and a numpy whose PCG64
+        layout does not read back (see _pcg_word_order) build each generator
+        with ``rng(i)``."""
         import numpy as np
 
         order = _pcg_word_order()
         if order is None or span.stop > 2**32:
             yield from map(self.rng, span)
             return
-        block = span.start // _BLOCK
-        states = _pcg_seed_states(*self._block_words(block).T)[:, order]
+        states = _pcg_seed_states(*self._span_words(span).T)[:, order]
         gen = np.random.Generator(np.random.PCG64(0))
         words, flags = _pcg_views(gen.bit_generator)
-        lo = block * _BLOCK
-        for row in states[span.start - lo : span.stop - lo : span.step]:
+        for row in states:
             words[...] = row
             flags[0] = 0
             yield gen

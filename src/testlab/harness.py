@@ -38,8 +38,9 @@ owns every replication loop and seed stream: optional_stopping_alpha and
 robbins_violation_probability wrap ``run``, evidence_rate shares the
 bayes/map ln r_n sampler, and family_wise_error uses ``_replicate``; each
 runner only names its draw (width values, uniform or normal) and its
-reduce of a block of draws. numpy and the thread pool are imported by the
-functions that use them, so loading a scenario needs neither.
+reduce of a block of draws. An estimator's sizes must be integers, or it
+raises the error it raises for a size below 1. numpy and the thread pool are
+imported by the functions that use them, so loading a scenario needs neither.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import configparser
 import csv
 import io
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -57,7 +59,6 @@ from typing import Optional
 
 from . import fisher, info_geometry, neyman_pearson
 from .dist import (
-    _BLOCK,
     FiniteDistribution,
     GaussianPair,
     Seed,
@@ -72,9 +73,9 @@ from .errors import InfiniteDivergenceError, InputError, ScenarioError, TestlabE
 from .evidential import Priors, log_ratio_table
 from .montecarlo import MCEstimate, mean_estimate, rate_estimate
 
-# fixed chunks, so the worker count cannot reorder anything; a chunk is one
-# block of seed words, hashed once
-_CHUNK = _BLOCK
+# a chunk is a pool thread's unit of work; no result depends on its size,
+# since replication i draws what Seed.rng(i) would in any chunk
+_CHUNK = 1024
 _CELLS = 2**14  # draws per block buffer: one row when a path is longer
 # draws per replication from which threads pay (tools/worker_sweep.py): a block
 # of one row; narrower ones retake the GIL on every small fill and 2-D reduce
@@ -226,6 +227,14 @@ def load_scenario(path) -> Scenario:
 def _require(scenario, ok, what):
     if not ok:
         raise ScenarioError(f"scenario {scenario.name}: {what}")
+
+
+def _size(value, what, error=ScenarioError):
+    """value as an int; a float is an error, where int() would truncate it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def _param(scenario, key, convert, default=None, required=False, check=None):
@@ -480,12 +489,7 @@ def _run_np(scenario, report, workers):
     _require(scenario, pair is not None, "needs a [gaussian] section")
     n = _int_param(scenario, "n", required=True)
     alpha = _float_param(scenario, "alpha")
-    if alpha is None:
-        rule, rates = neyman_pearson.midpoint_rule(pair, n)
-        report.values["rule"] = "midpoint"
-    else:
-        rule, rates = neyman_pearson.np_test(pair, n, alpha)
-        report.values["rule"] = "fixed-alpha"
+    report.values["rule"], rule, rates = neyman_pearson._named_rule(pair, n, alpha)
     report.values["n"] = n
     report.values["cutoff"] = rule.cutoff
     report.values["alpha_analytic"] = rates.alpha
@@ -723,7 +727,8 @@ def optional_stopping_alpha(
     against); either argument given with the other kind of null is a
     ScenarioError.
     """
-    looks = tuple(int(n) for n in looks)
+    looks = tuple(_size(n, "each look") for n in looks)
+    reps = _size(reps, "reps")
     if not isinstance(null, (GaussianPair, FiniteDistribution)):
         raise ScenarioError(f"cannot monitor a {type(null).__name__}")
     finite = isinstance(null, FiniteDistribution)
@@ -776,6 +781,7 @@ def robbins_violation_probability(
     """
     if not s > 1:
         raise InputError(f"threshold must exceed 1, got {s!r}")
+    reps = _size(reps, "reps")
     scenario = Scenario(
         name="robbins",
         paradigm="lr",
@@ -799,6 +805,7 @@ def evidence_rate(
 
     As n grows this concentrates on D(k || h), which must be finite here.
     """
+    n, reps = _size(n, "n", InputError), _size(reps, "reps", InputError)
     if n < 1 or reps < 1:
         raise InputError("n and reps must be at least 1")
     if info_geometry.kl(k, h).is_infinite:
@@ -827,8 +834,11 @@ def family_wise_error(
     """
     import numpy as np
 
+    m, reps, n = _size(m, "m"), _size(reps, "reps"), _size(n, "n")
     if m < 1 or reps < 1:
         raise ScenarioError("m and reps must be at least 1")
+    if n < 1:
+        raise ScenarioError(f"n must be at least 1, got {n!r}")
     per_test = neyman_pearson.adjust_alpha(family_alpha, m, scheme)
     z_crit = -gaussian_quantile(per_test)
     shift = eta * math.sqrt(n) / sigma

@@ -113,6 +113,14 @@ def np_test(pair: GaussianPair, n: int, alpha: float) -> tuple[DecisionRule, Err
     return DecisionRule(cutoff, n), ErrorRates(alpha, beta, alpha + beta)
 
 
+def _named_rule(pair: GaussianPair, n: int, alpha: Optional[float]) -> tuple:
+    """(name, rule, rates) of the np subcommand's and scenario's rule: the
+    midpoint rule without alpha, the fixed-alpha test with it."""
+    if alpha is None:
+        return ("midpoint", *midpoint_rule(pair, n))
+    return ("fixed-alpha", *np_test(pair, n, alpha))
+
+
 def solve_power(spec: PowerSpec) -> PowerSpec:
     """Fill in the one unknown of (alpha, beta, eta, n).
 

@@ -36,6 +36,7 @@ from testlab import (
     grade,
     lr_threshold_as_kl_margin,
     np_test,
+    optional_stopping_alpha,
     p_value,
     robbins_violation_probability,
 )
@@ -555,6 +556,36 @@ _INPUT_ERRORS = {
                              "n and reps must be at least 1"),
     "family-wise-m-zero": (lambda path: family_wise_error(0, 0.05, "bonferroni", 5, Seed(0)),
                            "m and reps must be at least 1"),
+    "family-wise-m-half": (lambda path: family_wise_error(2.5, 0.05, "bonferroni", 5, Seed(0)),
+                           "m must be an integer, got 2.5"),
+    "family-wise-reps-half": (
+        lambda path: family_wise_error(2, 0.05, "bonferroni", 2.5, Seed(0)),
+        "reps must be an integer, got 2.5",
+    ),
+    "family-wise-n-half": (
+        lambda path: family_wise_error(2, 0.05, "bonferroni", 5, Seed(0), n=2.5),
+        "n must be an integer, got 2.5",
+    ),
+    "family-wise-n-negative": (
+        lambda path: family_wise_error(2, 0.05, "bonferroni", 5, Seed(0), n=-1),
+        "n must be at least 1, got -1",
+    ),
+    "evidence-rate-n-half": (lambda path: evidence_rate(_H, _K, 2.5, 5, Seed(0)),
+                             "n must be an integer, got 2.5"),
+    "evidence-rate-reps-half": (lambda path: evidence_rate(_H, _K, 5, 2.5, Seed(0)),
+                                "reps must be an integer, got 2.5"),
+    "robbins-reps-half": (
+        lambda path: robbins_violation_probability(_H, _K, 2.0, 10, 2.5, Seed(0)),
+        "reps must be an integer, got 2.5",
+    ),
+    "optional-stopping-look-fraction": (
+        lambda path: optional_stopping_alpha(GaussianPair(0, 0), 0.05, [10.7], 5, Seed(0)),
+        "each look must be an integer, got 10.7",
+    ),
+    "optional-stopping-reps-half": (
+        lambda path: optional_stopping_alpha(GaussianPair(0, 0), 0.05, [10], 2.5, Seed(0)),
+        "reps must be an integer, got 2.5",
+    ),
     "grade-nan": (lambda path: grade(math.nan), "likelihood ratio is NaN"),
     "fisher-dist-without-observed": (
         lambda path: _command("fisher", "--dist", str(_write(path, "a\t1\n"))),
@@ -578,6 +609,22 @@ def test_input_errors_give_their_whole_message(tmp_path, case):
     with pytest.raises((errors.TestlabError, cli._CliInputError)) as caught:
         call(path)
     assert str(caught.value) == message.format(path=path)
+
+
+# an estimator's size that is no integer raises the class that a size below 1
+# raises there
+_SIZE_ERROR_CLASSES = {
+    case: errors.InputError if case.startswith("evidence-rate") else errors.ScenarioError
+    for case in _INPUT_ERRORS
+    if case.startswith(("evidence-rate", "family-wise", "robbins-reps", "optional-stopping"))
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SIZE_ERROR_CLASSES))
+def test_estimator_size_errors_keep_their_class(tmp_path, case):
+    with pytest.raises(errors.TestlabError) as caught:
+        _INPUT_ERRORS[case][0](tmp_path / "input.txt")
+    assert type(caught.value) is _SIZE_ERROR_CLASSES[case]
 
 
 def test_usage_error_exits_1(capsys):

@@ -283,8 +283,10 @@ def test_replication_reseed_matches_rng(stream):
         seed = Seed(root, stream)
         for i in (0, 1, 1023, 1024, 2**32 - 1, 2**32, 2**40):
             assert same_start(rep_rng(seed, i), seed, i), (root, i)
-        # one generator reset along a span of a block, and past 2**32
-        for span in (range(1024, 2048, 97), range(2**32, 2**32 + 5)):
+        # one generator reset along a span, across 1 024-index boundaries,
+        # with a stride, and past 2**32
+        for span in (range(1024, 2048, 97), range(1000, 1100), range(0, 3000, 7),
+                     range(2**32, 2**32 + 5)):
             for i, gen in zip(span, seed._rep_rngs(span), strict=True):
                 assert same_start(gen, seed, i), (root, i)
 

@@ -2,6 +2,7 @@ import math
 import threading
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -28,7 +29,6 @@ from testlab import (
 from testlab.dist import _finite_indices, _step_indices, gaussian_quantile
 from testlab.errors import ScenarioError
 from testlab.evidential import log_ratio_table
-from testlab.fisher import _first_significant_count
 from testlab.harness import Scenario
 
 from helpers import bernoulli
@@ -385,6 +385,23 @@ def test_replication_order_does_not_depend_on_blocks_or_workers(monkeypatch, nam
         assert np.array_equal(single[i], reduce(row)), i
 
 
+def test_replicate_gives_the_same_results_at_any_chunk_size(monkeypatch):
+    # chunks of 1 000 and 1 500 put chunk edges off the multiples of 1 024,
+    # and 40 draws per replication split each chunk into blocks of 409 rows
+    def replicated(chunk):
+        monkeypatch.setattr(harness, "_CHUNK", chunk)
+        report = SimpleNamespace(replication_digests=())
+        out = harness._replicate(Seed(2026, 1), 1, np.zeros((3000, 2)), 40,
+                                 "standard_normal", lambda block: block[..., :2], report)
+        return out, report.replication_digests
+
+    want, digests = replicated(1024)
+    assert (want != 0).all()
+    for chunk in (1000, 1500):
+        out, got = replicated(chunk)
+        assert np.array_equal(out, want) and got == digests, chunk
+
+
 @pytest.mark.parametrize("width, pooled", [(harness._POOL_WIDTH - 1, False),
                                            (harness._POOL_WIDTH, True)])
 def test_only_replications_at_least_pool_width_wide_run_on_pool_threads(
@@ -476,7 +493,7 @@ def test_segment_reductions_equal_the_full_width_reductions(null, looks):
     else:
         idx = _step_indices(H_FAIR, block)
         statistic = np.cumsum(idx, axis=-1)[:, marks]
-        cut = np.array([_first_significant_count(m, H_FAIR.probs[1], alpha) for m in looks])
+        cut = np.array([_cutoff_by_count_search(m, H_FAIR.probs[1], alpha) for m in looks])
         steps = log_ratio_table(H_FAIR, K_THREEQ).take(idx)
     path_max = np.maximum.accumulate(np.cumsum(steps, axis=-1), axis=-1)
     want = np.stack((np.maximum.accumulate(statistic >= cut, axis=-1),
@@ -742,7 +759,7 @@ def test_optional_stopping_finite_alphabet_variant():
     assert final_lr.value <= 1 / 20 + 3 * final_lr.se
 
 
-def _first_significant_count(n, theta, alpha):
+def _cutoff_by_count_search(n, theta, alpha):
     # reference search: try every count in turn; n + 1 if none is significant
     for c in range(n + 1):
         if binomial_tail(n, c, theta).significant(alpha):
@@ -776,7 +793,7 @@ def test_finite_optional_stopping_cutoffs_match_count_search(p_first, alpha, loo
     )
     report = run_scenario(scenario)
     # regenerate each replication's draws and retest at every look
-    cutoffs = [_first_significant_count(n, theta, alpha) for n in looks]
+    cutoffs = [_cutoff_by_count_search(n, theta, alpha) for n in looks]
     hits = [0] * len(looks)
     for i in range(reps):
         counts = np.cumsum(_finite_indices(h, looks[-1], seed.rng(i)))

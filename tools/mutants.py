@@ -330,11 +330,36 @@ MUTANTS = (
     ),
     # replication i draws what seed.rng(i) draws, not its neighbour's stream
     Mutant(
-        "block-words-stream-i-plus-1",
+        "span-words-stream-i-plus-1",
         "src/testlab/dist.py",
-        "        i = np.arange(_BLOCK, dtype=u32) + block * _BLOCK\n",
-        "        i = np.arange(_BLOCK, dtype=u32) + block * _BLOCK + 1\n",
+        "        i = np.arange(span.start, span.stop, span.step, dtype=u32)\n",
+        "        i = np.arange(span.start + 1, span.stop + 1, span.step, dtype=u32)\n",
         ("tests/test_dist.py::test_replication_reseed_matches_rng[0]",),
+    ),
+    # a strided span hashes only its own indices, one row per replication
+    Mutant(
+        "span-words-step-dropped",
+        "src/testlab/dist.py",
+        "        i = np.arange(span.start, span.stop, span.step, dtype=u32)\n",
+        "        i = np.arange(span.start, span.stop, dtype=u32)\n",
+        ("tests/test_dist.py::test_replication_reseed_matches_rng[0]",),
+    ),
+    # str(int) refuses more than 4 300 digits, and an exact tail at a tiny
+    # theta has about 60 000; Decimal prints them
+    Mutant(
+        "render-fraction-through-str",
+        "src/testlab/harness.py",
+        '        return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"\n',
+        '        return f"{value.numerator}/{value.denominator}"\n',
+        ("tests/test_cli.py::test_cli_fuzz_exits_0_or_1_and_fisher_tails_match_mpmath",),
+    ),
+    # a message's exact sum can pass the same limit
+    Mutant(
+        "show-fraction-through-str",
+        "src/testlab/dist.py",
+        "        num, den = decimal.Decimal(p.numerator), decimal.Decimal(p.denominator)\n",
+        "        num, den = p.numerator, p.denominator\n",
+        ("tests/test_evidential.py::test_priors_sum_past_4300_digits_is_an_input_error",),
     ),
     # one fold extends evidence by a sample: support exclusion falsifies the
     # hypothesis that gave the symbol zero mass, both falsified is an error,
