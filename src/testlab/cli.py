@@ -20,19 +20,14 @@ import re
 import sys
 
 from . import __version__, evidential, fisher, harness, info_geometry, neyman_pearson
-from .dist import GaussianPair, Seed, log_probability, parse_probability
-from .errors import TestlabError
+from .dist import GaussianPair, Seed, _render, log_probability, parse_probability
+from .errors import InputError, TestlabError
 from .evidential import Priors
 from .files import read_distribution, read_symbols
-from .harness import _render
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INTERNAL_ERROR = 2
-
-
-class _CliInputError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
     # argparse exits 2 on usage errors; our contract reserves 2 for bugs
     def error(self, message):
-        raise _CliInputError(message)
+        raise InputError(message)
 
 
 def _emit(args, rows):
@@ -84,12 +79,12 @@ def _cmd_fisher(args):
     direction = fisher.TailDirection.parse(args.direction)
     if args.dist is not None:
         if args.observed is None:
-            raise _CliInputError("--dist needs --observed")
+            raise InputError("--dist needs --observed")
         d = read_distribution(args.dist)
         report = fisher.p_value(d, args.observed, direction)
     else:
         if args.n is None or args.k is None:
-            raise _CliInputError("either --dist/--observed or --n/--k/--theta")
+            raise InputError("either --dist/--observed or --n/--k/--theta")
         report = fisher.binomial_tail(args.n, args.k, args.theta, direction)
     significant = report.significant(args.level)
     # an exact tail can run to many thousands of digits: render it once
@@ -171,7 +166,7 @@ def _cmd_power(args):
     }
     known = [name for name, value in given.items() if value is not None]
     if len(known) != 3:
-        raise _CliInputError(
+        raise InputError(
             "give exactly three of --alpha/--beta/--eta/--n; the fourth is solved"
         )
     spec = neyman_pearson.PowerSpec(sigma=args.sigma, **given)
@@ -331,7 +326,7 @@ def main(argv=None) -> int:
         if rows is not None:  # simulate writes its own CSV
             _emit(args, rows)
         return EXIT_OK
-    except (_CliInputError, TestlabError, OSError) as exc:
+    except (TestlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:  # noqa: BLE001 - contract: unexpected failure exits 2

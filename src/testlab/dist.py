@@ -69,13 +69,43 @@ def parse_probability(text: str) -> Fraction:
     return Fraction(value)
 
 
+def _render(value) -> str:
+    """value as testlab prints it: yes or no, a float to 12 significant
+    digits, a Fraction as num/den, anything else by str()."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if isinstance(value, Fraction):  # Decimal prints past str()'s 4 300-digit limit
+        return f"{decimal.Decimal(value.numerator)}/{decimal.Decimal(value.denominator)}"
+    return str(value)
+
+
 def _show(p) -> str:
-    """p for a message: exact sums of parsed probabilities can pass the
-    4 300-digit limit on str(int), which Decimal does not have."""
-    if isinstance(p, Fraction):
-        num, den = decimal.Decimal(p.numerator), decimal.Decimal(p.denominator)
-        return f"{num}" if den == 1 else f"{num}/{den}"
-    return repr(p)
+    """p for a message: a Fraction as _render prints it, less a denominator
+    of 1, and anything else by repr()."""
+    return _render(p).removesuffix("/1") if isinstance(p, Fraction) else repr(p)
+
+
+def _size(value, what, error=InputError, least=None) -> int:
+    """value, a count, as an int: a float is an error, where int() would
+    truncate it, and so is a value below least."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise error(f"{what} must be at least {least}, got {value}")
+    return value
+
+
+def _counts(counts, n, error) -> tuple:
+    """(counts, n) as a tuple of ints and an int: int() would truncate 2.5
+    to 2, and an exact ratio takes each count as an exponent."""
+    try:
+        return tuple(map(operator.index, counts)), operator.index(n)
+    except TypeError:
+        raise error(f"counts and n must be integers, got {counts!r} and {n!r}") from None
 
 
 def as_probability(value) -> Probability:
@@ -230,12 +260,7 @@ class EmpiricalDistribution:
 
     def __post_init__(self):
         alphabet = tuple(self.alphabet)
-        try:  # integers only: int() would truncate 2.5 to 2
-            counts, n = tuple(map(operator.index, self.counts)), operator.index(self.n)
-        except TypeError:
-            raise DistributionError(
-                f"counts and n must be integers, got {self.counts!r} and {self.n!r}"
-            ) from None
+        counts, n = _counts(self.counts, self.n, DistributionError)
         if len(alphabet) != len(counts):
             raise DistributionError("one count per alphabet symbol required")
         if any(c < 0 for c in counts):
@@ -357,12 +382,13 @@ class Seed:
     stream: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.root) < 2**64:
+        root, stream = _size(self.root, "seed root"), _size(self.stream, "stream id")
+        if not 0 <= root < 2**64:
             raise InputError(f"seed root must be a 64-bit unsigned int, got {self.root!r}")
-        if int(self.stream) < 0:
+        if stream < 0:
             raise InputError(f"stream id must be nonnegative, got {self.stream!r}")
-        object.__setattr__(self, "root", int(self.root))
-        object.__setattr__(self, "stream", int(self.stream))
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "stream", stream)
 
     def rng(self, *path: int) -> np.random.Generator:
         """Generator for this stream, optionally extended by sub-counters."""
@@ -545,8 +571,7 @@ def _finite_indices(d: FiniteDistribution, n: int, rng: np.random.Generator) -> 
 def sample(d, n: int, seed: Seed):
     """n iid draws: a list of symbols for a FiniteDistribution, an ndarray
     of reals for a Gaussian component."""
-    if n < 1:
-        raise InputError(f"sample size must be at least 1, got {n}")
+    n = _size(n, "sample size", least=1)
     rng = seed.rng()
     if isinstance(d, FiniteDistribution):
         idx = _finite_indices(d, n, rng)

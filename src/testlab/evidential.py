@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -40,6 +39,7 @@ from .dist import (
     GaussianPair,
     Probability,
     _count,
+    _counts,
     _show,
     as_probability,
     log_probability,
@@ -297,13 +297,7 @@ def evidence_from_counts(
     Raises ImpossibleObservationError if a counted symbol has zero mass
     under both hypotheses, or if the counts falsify both.
     """
-    counts = tuple(counts)
-    try:  # integers only: the exact ratio takes each count as an exponent
-        counts, n = tuple(map(operator.index, counts)), operator.index(n)
-    except TypeError:
-        raise InputError(
-            f"counts and n must be integers, got {counts!r} and {n!r}"
-        ) from None
+    counts, n = _counts(tuple(counts), n, InputError)
     if len(counts) != h.size or min(counts) < 0 or sum(counts) != n:
         raise InputError(
             f"need {h.size} nonnegative counts summing to n={n}, got {counts!r}"

@@ -10,12 +10,11 @@ numerator and denominator instead of a rounded double.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .dist import FiniteDistribution, Probability, _show, as_probability, parse_probability
+from .dist import FiniteDistribution, Probability, _show, _size, as_probability, parse_probability
 from .errors import InputError, UnknownSymbolError, UnorderedAlphabetError
 
 
@@ -114,6 +113,7 @@ def binomial_tail(
     mirrored upper one, P(X <= k; theta) = P(X >= n - k; 1 - theta), and on
     the counts 0..n the two-sided |X| >= |k| tail is the upper one.
     """
+    n = _size(n, "n")  # a numpy integer would wrap in the integer sum
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
     if not 0 <= k <= n:
@@ -128,7 +128,6 @@ def binomial_tail(
         raise UnknownSymbolError(f"symbol {k!r} not in alphabet")
     if not isinstance(direction, TailDirection):
         raise InputError(f"unknown direction {direction!r}")
-    n = operator.index(n)  # a numpy integer would wrap in the integer sum
     a, b = theta.numerator, theta.denominator
     c = b - a
     if direction is TailDirection.LESS_EQUAL:

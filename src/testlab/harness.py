@@ -49,11 +49,8 @@ import configparser
 import csv
 import io
 import math
-import operator
 import time
 from dataclasses import dataclass, field
-from decimal import Decimal
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -63,6 +60,8 @@ from .dist import (
     GaussianPair,
     Seed,
     _finite_indices,  # noqa: F401 - unused; perfbench's tracer rebinds it here
+    _render,
+    _size,
     _step_indices,
     gaussian_cdf,
     gaussian_quantile,
@@ -144,16 +143,6 @@ class SimulationReport:
         return buf.getvalue()
 
 
-def _render(value) -> str:
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if isinstance(value, Fraction):  # Decimal prints past str()'s 4 300-digit limit
-        return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
-    return str(value)
-
-
 def load_scenario(path) -> Scenario:
     # values are literal, and no header can hold "\n": [DEFAULT] is an unknown section
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
@@ -227,14 +216,6 @@ def load_scenario(path) -> Scenario:
 def _require(scenario, ok, what):
     if not ok:
         raise ScenarioError(f"scenario {scenario.name}: {what}")
-
-
-def _size(value, what, error=ScenarioError):
-    """value as an int; a float is an error, where int() would truncate it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def _param(scenario, key, convert, default=None, required=False, check=None):
@@ -665,8 +646,7 @@ def run(scenario: Scenario, workers: int = 1) -> SimulationReport:
     """
     import numpy  # noqa: F401 - so that its first import is not timed
 
-    if workers < 1:
-        raise InputError(f"workers must be at least 1, got {workers!r}")
+    workers = _size(workers, "workers", least=1)
     ok = scenario.paradigm == "fisher" or scenario.reps >= 1
     _require(scenario, ok, f"paradigm {scenario.paradigm!r} needs reps >= 1")
     report = SimulationReport(
@@ -679,7 +659,7 @@ def run(scenario: Scenario, workers: int = 1) -> SimulationReport:
     )
     started = time.perf_counter()
     try:
-        _RUNNERS[scenario.paradigm][0](scenario, report, int(workers))
+        _RUNNERS[scenario.paradigm][0](scenario, report, workers)
     except ScenarioError:
         raise
     except TestlabError as exc:
@@ -727,8 +707,8 @@ def optional_stopping_alpha(
     against); either argument given with the other kind of null is a
     ScenarioError.
     """
-    looks = tuple(_size(n, "each look") for n in looks)
-    reps = _size(reps, "reps")
+    looks = tuple(_size(n, "each look", ScenarioError) for n in looks)
+    reps = _size(reps, "reps", ScenarioError)
     if not isinstance(null, (GaussianPair, FiniteDistribution)):
         raise ScenarioError(f"cannot monitor a {type(null).__name__}")
     finite = isinstance(null, FiniteDistribution)
@@ -781,7 +761,7 @@ def robbins_violation_probability(
     """
     if not s > 1:
         raise InputError(f"threshold must exceed 1, got {s!r}")
-    reps = _size(reps, "reps")
+    reps = _size(reps, "reps", ScenarioError)
     scenario = Scenario(
         name="robbins",
         paradigm="lr",
@@ -805,7 +785,7 @@ def evidence_rate(
 
     As n grows this concentrates on D(k || h), which must be finite here.
     """
-    n, reps = _size(n, "n", InputError), _size(reps, "reps", InputError)
+    n, reps = _size(n, "n"), _size(reps, "reps")
     if n < 1 or reps < 1:
         raise InputError("n and reps must be at least 1")
     if info_geometry.kl(k, h).is_infinite:
@@ -834,11 +814,16 @@ def family_wise_error(
     """
     import numpy as np
 
-    m, reps, n = _size(m, "m"), _size(reps, "reps"), _size(n, "n")
+    m, reps = _size(m, "m", ScenarioError), _size(reps, "reps", ScenarioError)
+    n = _size(n, "n", ScenarioError)
     if m < 1 or reps < 1:
         raise ScenarioError("m and reps must be at least 1")
     if n < 1:
         raise ScenarioError(f"n must be at least 1, got {n!r}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ScenarioError(f"sigma must be positive and finite, got {sigma!r}")
+    if not math.isfinite(eta):
+        raise ScenarioError(f"eta must be finite, got {eta!r}")
     per_test = neyman_pearson.adjust_alpha(family_alpha, m, scheme)
     z_crit = -gaussian_quantile(per_test)
     shift = eta * math.sqrt(n) / sigma

@@ -22,6 +22,7 @@ from .dist import (
     EmpiricalDistribution,
     FiniteDistribution,
     _count,
+    _size,
     empirical,
     log_probability,
     require_same_alphabet,
@@ -196,8 +197,7 @@ def types_bound_radius(alphabet_size: int, n: int, delta: float) -> float:
     """
     if alphabet_size < 2:
         raise InputError("radius needs an alphabet of at least two symbols")
-    if n < 1:
-        raise InputError(f"n must be at least 1, got {n}")
+    n = _size(n, "n", least=1)
     if not 0 < delta < 1:
         raise InputError(f"delta must be in (0, 1), got {delta!r}")
     # -ln(delta), not ln(1/delta): 1/delta overflows to inf for a subnormal

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .dist import GaussianPair, gaussian_cdf, gaussian_quantile
+from .dist import GaussianPair, _size, gaussian_cdf, gaussian_quantile
 from .errors import InputError, NoSolutionError, PowerSpecError, ZeroEffectError
 
 ADJUSTMENT_SCHEMES = ("bonferroni", "sidak")
@@ -90,8 +90,7 @@ def midpoint_rule(pair: GaussianPair, n: int) -> tuple[DecisionRule, ErrorRates]
     Both error rates equal Phi(-eta sqrt(n) / (2 sigma)), so the total
     error 2*Phi(...) shrinks to zero as n grows for any positive effect.
     """
-    if n < 1:
-        raise InputError(f"n must be at least 1, got {n}")
+    n = _size(n, "n", least=1)
     if pair.effect == 0:
         raise ZeroEffectError("midpoint rule is degenerate when the means coincide")
     cutoff = 0.5 * (pair.mu_h + pair.mu_k)
@@ -102,8 +101,7 @@ def midpoint_rule(pair: GaussianPair, n: int) -> tuple[DecisionRule, ErrorRates]
 def np_test(pair: GaussianPair, n: int, alpha: float) -> tuple[DecisionRule, ErrorRates]:
     """Fixed-alpha one-sided test; among rules with type-I error <= alpha
     this cutoff minimises beta."""
-    if n < 1:
-        raise InputError(f"n must be at least 1, got {n}")
+    n = _size(n, "n", least=1)
     if not 0 < alpha < 1:
         raise InputError(f"alpha must be in (0, 1), got {alpha!r}")
     z = -gaussian_quantile(alpha)  # z_{1-alpha}; 1 - alpha is 1.0 for alpha < 5.5e-17
@@ -159,8 +157,7 @@ def adjust_alpha(family_alpha: float, tests: int, scheme: str = "bonferroni") ->
     """Per-test alpha keeping the family-wise error under family_alpha."""
     if not 0 < family_alpha < 1:
         raise InputError(f"family alpha must be in (0, 1), got {family_alpha!r}")
-    if tests < 1:
-        raise InputError(f"number of tests must be at least 1, got {tests}")
+    tests = _size(tests, "number of tests", least=1)
     if scheme == "bonferroni":
         return family_alpha / tests
     if scheme == "sidak":

@@ -28,6 +28,7 @@ from testlab import (
     PValueReport,
     Seed,
     TailDirection,
+    adjust_alpha,
     binomial_tail,
     empirical,
     errors,
@@ -35,10 +36,12 @@ from testlab import (
     family_wise_error,
     grade,
     lr_threshold_as_kl_margin,
+    midpoint_rule,
     np_test,
     optional_stopping_alpha,
     p_value,
     robbins_violation_probability,
+    run_scenario,
 )
 from testlab.cli import main
 from testlab.dist import as_probability, parse_probability, sample
@@ -526,6 +529,12 @@ _INPUT_ERRORS = {
                                 "alphabet labels must be hashable"),
     "sample-a-number": (lambda path: sample(Fraction(1, 2), 3, Seed(0)),
                         "cannot sample from Fraction"),
+    "sample-size-half": (lambda path: sample(_H, 2.5, Seed(0)),
+                         "sample size must be an integer, got 2.5"),
+    "seed-root-half": (lambda path: Seed(2.5), "seed root must be an integer, got 2.5"),
+    "seed-root-string": (lambda path: Seed("5"), "seed root must be an integer, got '5'"),
+    "binomial-tail-n-half": (lambda path: binomial_tail(2.5, 1, "1/2"),
+                             "n must be an integer, got 2.5"),
     "distribution-line-without-tab": (
         lambda path: read_distribution(_write(path, "a 1/2\n")),
         "{path}: expected 'symbol<TAB>probability', got 'a 1/2'",
@@ -539,10 +548,22 @@ _INPUT_ERRORS = {
     "radius-one-symbol": (lambda path: types_bound_radius(1, 10, 0.05),
                           "radius needs an alphabet of at least two symbols"),
     "radius-n-zero": (lambda path: types_bound_radius(2, 0, 0.05), "n must be at least 1, got 0"),
+    "radius-n-half": (lambda path: types_bound_radius(2, 2.5, 0.05),
+                      "n must be an integer, got 2.5"),
     "radius-delta-one": (lambda path: types_bound_radius(2, 10, 1.0),
                          "delta must be in (0, 1), got 1.0"),
     "np-test-n-zero": (lambda path: np_test(GaussianPair(0, 1, 1), 0, 0.05),
                        "n must be at least 1, got 0"),
+    "np-test-n-half": (lambda path: np_test(GaussianPair(0, 1, 1), 2.5, 0.05),
+                       "n must be an integer, got 2.5"),
+    "midpoint-n-half": (lambda path: midpoint_rule(GaussianPair(0, 1), 2.5),
+                        "n must be an integer, got 2.5"),
+    "adjust-alpha-tests-half": (lambda path: adjust_alpha(0.05, 2.5),
+                                "number of tests must be an integer, got 2.5"),
+    "run-workers-half": (lambda path: run_scenario(harness.Scenario("s", "fisher"), 2.5),
+                         "workers must be an integer, got 2.5"),
+    "run-workers-string": (lambda path: run_scenario(harness.Scenario("s", "fisher"), "2"),
+                           "workers must be an integer, got '2'"),
     "inconsistent-report": (
         lambda path: PValueReport(Fraction(1, 2), TailDirection.GREATER_EQUAL, Fraction(3, 4), 1),
         "inconsistent report: point=Fraction(3, 4) p=Fraction(1, 2)",
@@ -569,6 +590,18 @@ _INPUT_ERRORS = {
     "family-wise-n-negative": (
         lambda path: family_wise_error(2, 0.05, "bonferroni", 5, Seed(0), n=-1),
         "n must be at least 1, got -1",
+    ),
+    "family-wise-sigma-zero": (
+        lambda path: family_wise_error(2, 0.05, "bonferroni", 5, Seed(0), sigma=0),
+        "sigma must be positive and finite, got 0",
+    ),
+    "family-wise-sigma-negative": (
+        lambda path: family_wise_error(2, 0.05, "bonferroni", 5, Seed(0), sigma=-1),
+        "sigma must be positive and finite, got -1",
+    ),
+    "family-wise-eta-nan": (
+        lambda path: family_wise_error(2, 0.05, "bonferroni", 5, Seed(0), eta=math.nan),
+        "eta must be finite, got nan",
     ),
     "evidence-rate-n-half": (lambda path: evidence_rate(_H, _K, 2.5, 5, Seed(0)),
                              "n must be an integer, got 2.5"),
@@ -606,7 +639,7 @@ _INPUT_ERRORS = {
 def test_input_errors_give_their_whole_message(tmp_path, case):
     call, message = _INPUT_ERRORS[case]
     path = tmp_path / "input.txt"
-    with pytest.raises((errors.TestlabError, cli._CliInputError)) as caught:
+    with pytest.raises(errors.TestlabError) as caught:
         call(path)
     assert str(caught.value) == message.format(path=path)
 

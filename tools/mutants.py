@@ -345,21 +345,35 @@ MUTANTS = (
         ("tests/test_dist.py::test_replication_reseed_matches_rng[0]",),
     ),
     # str(int) refuses more than 4 300 digits, and an exact tail at a tiny
-    # theta has about 60 000; Decimal prints them
+    # theta has about 60 000, as a message's exact sum can; Decimal prints them
     Mutant(
         "render-fraction-through-str",
-        "src/testlab/harness.py",
-        '        return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"\n',
-        '        return f"{value.numerator}/{value.denominator}"\n',
-        ("tests/test_cli.py::test_cli_fuzz_exits_0_or_1_and_fisher_tails_match_mpmath",),
-    ),
-    # a message's exact sum can pass the same limit
-    Mutant(
-        "show-fraction-through-str",
         "src/testlab/dist.py",
-        "        num, den = decimal.Decimal(p.numerator), decimal.Decimal(p.denominator)\n",
-        "        num, den = p.numerator, p.denominator\n",
-        ("tests/test_evidential.py::test_priors_sum_past_4300_digits_is_an_input_error",),
+        ('        return f"{decimal.Decimal(value.numerator)}/'
+         '{decimal.Decimal(value.denominator)}"\n'),
+        '        return f"{value.numerator}/{value.denominator}"\n',
+        ("tests/test_cli.py::test_cli_fuzz_exits_0_or_1_and_fisher_tails_match_mpmath",
+         "tests/test_evidential.py::test_priors_sum_past_4300_digits_is_an_input_error"),
+    ),
+    # a size is an integer: int() would truncate 2.5 to 2 and accept "2"
+    Mutant(
+        "size-int-truncates",
+        "src/testlab/dist.py",
+        "        value = operator.index(value)\n",
+        "        value = int(value)\n",
+        tuple(f"tests/test_cli.py::test_input_errors_give_their_whole_message[{case}]"
+              for case in ("sample-size-half", "seed-root-half", "binomial-tail-n-half",
+                           "radius-n-half", "np-test-n-half", "midpoint-n-half",
+                           "adjust-alpha-tests-half", "run-workers-half")),
+    ),
+    # a size below its least is an input error, not a division by zero
+    Mutant(
+        "size-least-dropped",
+        "src/testlab/dist.py",
+        "    if least is not None and value < least:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_input_errors_give_their_whole_message[radius-n-zero]",
+         "tests/test_cli.py::test_input_errors_give_their_whole_message[np-test-n-zero]"),
     ),
     # one fold extends evidence by a sample: support exclusion falsifies the
     # hypothesis that gave the symbol zero mass, both falsified is an error,
@@ -467,9 +481,9 @@ MUTANTS = (
     # counts are integers: a float count would be an exponent of the ratio
     Mutant(
         "counts-integer-check-removed",
-        "src/testlab/evidential.py",
-        "        counts, n = tuple(map(operator.index, counts)), operator.index(n)\n",
-        "        pass\n",
+        "src/testlab/dist.py",
+        "        return tuple(map(operator.index, counts)), operator.index(n)\n",
+        "        return tuple(counts), n\n",
         ("tests/test_evidential.py::test_evidence_from_counts_validates_counts",),
     ),
     # the posterior of K is 0, not an overflow, once exp(-log odds) leaves
