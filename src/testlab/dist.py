@@ -99,6 +99,38 @@ def _size(value, what, error=InputError, least=None) -> int:
     return value
 
 
+# _real's rules: (test, what a value must do); math.isfinite overflows past the float range
+_LEVEL = (lambda v: 0 < v < 1, "be in (0, 1)")
+_RATE = (lambda v: 0 < v <= 0.5, "be in (0, 0.5]")
+_NONNEGATIVE = (lambda v: v >= 0, "be nonnegative")
+_ABOVE_1 = (lambda v: v > 1, "exceed 1")
+_FINITE = (math.isfinite, "be finite")
+_ALL_FINITE = (lambda vs: all(map(math.isfinite, vs)), "be finite")
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "be positive and finite")
+_IN_FLOATS = (lambda v: math.isinf(v) or math.isfinite(v), "lie in the float range")
+_THRESHOLD = ((lambda v: not isinstance(v, float) or math.isfinite(v), "be finite"),
+              (lambda v: v >= 1, "be at least 1"))
+_FINITE_AT_LEAST_1 = (lambda v: math.isfinite(v) and v >= 1, "be finite and at least 1")
+
+
+def _real(value, what, *rules, error=InputError) -> None:
+    """Raise "{what} must {words}, got {value!r}" at the first rule value fails."""
+    for test, words in rules:
+        if not (ok := _holds(test, value)):
+            must = "be a real number" if ok is None else words
+            raise error(f"{what} must {must}, got {value!r}")
+
+
+def _holds(test, value):
+    """test(value): false where it overflows, None where it cannot compare value."""
+    try:
+        return test(value)
+    except OverflowError:
+        return False
+    except TypeError:
+        return None
+
+
 def _counts(counts, n, error) -> tuple:
     """(counts, n) as a tuple of ints and an int: int() would truncate 2.5
     to 2, and an exact ratio takes each count as an exponent."""
@@ -305,13 +337,6 @@ def empirical(xs: Sequence, alphabet: Sequence) -> EmpiricalDistribution:
     return EmpiricalDistribution(labels, tuple(_count(xs, _label_index(labels))), len(xs))
 
 
-def _check_normal(sigma, *means) -> None:
-    if not 0 < sigma < math.inf:
-        raise DistributionError(f"sigma must be positive and finite, got {sigma!r}")
-    if not all(map(math.isfinite, means)):
-        raise DistributionError(f"means must be finite, got {means!r}")
-
-
 @dataclass(frozen=True)
 class Gaussian:
     """One normal component N(mean, sigma)."""
@@ -320,7 +345,8 @@ class Gaussian:
     sigma: float
 
     def __post_init__(self):
-        _check_normal(self.sigma, self.mean)
+        _real(self.sigma, "sigma", _POSITIVE, error=DistributionError)
+        _real((self.mean,), "means", _ALL_FINITE, error=DistributionError)
 
     def log_density(self, x: float) -> float:
         z = (x - self.mean) / self.sigma
@@ -340,7 +366,8 @@ class GaussianPair:
     sigma: float = 1.0
 
     def __post_init__(self):
-        _check_normal(self.sigma, self.mu_h, self.mu_k)
+        _real(self.sigma, "sigma", _POSITIVE, error=DistributionError)
+        _real((self.mu_h, self.mu_k), "means", _ALL_FINITE, error=DistributionError)
         if self.mu_k < self.mu_h:
             raise DistributionError(
                 f"effect mu_k - mu_h = {self.mu_k - self.mu_h!r} is negative; "
@@ -589,7 +616,7 @@ def gaussian_cdf(z: float) -> float:
 
 def gaussian_quantile(p: float) -> float:
     """Inverse standard normal CDF, by bisection to double precision."""
-    if not 0.0 < p < 1.0:
+    if not _holds(lambda p: 0.0 < p < 1.0, p):
         raise InputError(f"quantile needs p in (0, 1), got {p!r}")
     lo, hi = -38.5, 38.5  # Phi(-38.5) underflows to 0: any positive p fits
     while True:

@@ -34,6 +34,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
+from . import dist
 from .dist import (
     FiniteDistribution,
     GaussianPair,
@@ -343,7 +344,7 @@ def grade(r_n) -> EvidenceGrade:
     """
     if isinstance(r_n, float) and math.isnan(r_n):
         raise InputError("likelihood ratio is NaN")
-    if r_n < 0:
+    if not dist._holds(lambda r: not r < 0, r_n):
         raise InputError(f"likelihood ratio must be nonnegative, got {r_n!r}")
     if r_n == math.inf:
         return EvidenceGrade(GradeStrength.DECISIVE, "K")
@@ -355,11 +356,8 @@ def grade(r_n) -> EvidenceGrade:
 
 
 def _check_threshold(s) -> None:
-    """A likelihood-ratio threshold s is finite and at least 1."""
-    if isinstance(s, float) and not math.isfinite(s):
-        raise InputError(f"threshold must be finite, got {s!r}")
-    if s < 1:
-        raise InputError(f"threshold must be at least 1, got {s!r}")
+    """A likelihood-ratio threshold s is at least 1, and finite if a float."""
+    dist._real(s, "threshold", *dist._THRESHOLD)
 
 
 def threshold_verdict(ev: LogEvidence, s=8.0) -> Verdict:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from . import dist
 from .dist import FiniteDistribution, Probability, _show, _size, as_probability, parse_probability
 from .errors import InputError, UnknownSymbolError, UnorderedAlphabetError
 
@@ -116,7 +117,7 @@ def binomial_tail(
     n = _size(n, "n")  # a numpy integer would wrap in the integer sum
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
-    if not 0 <= k <= n:
+    if not dist._holds(lambda k: 0 <= k <= n, k):
         raise InputError(f"k must be in [0, {n}], got {k}")
     theta = as_probability(theta)
     if isinstance(theta, float) and math.isfinite(theta):
@@ -174,8 +175,7 @@ def _first_significant_count(n: int, theta, alpha: float) -> int:
 
 def significance_verdict(p, level: float = 0.05) -> bool:
     """True iff p <= level. The boundary counts as significant."""
-    if not 0 < level < 1:
-        raise InputError(f"level must be in (0, 1), got {level!r}")
+    dist._real(level, "level", dist._LEVEL)
     return p <= level
 
 

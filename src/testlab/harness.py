@@ -38,8 +38,8 @@ owns every replication loop and seed stream: optional_stopping_alpha and
 robbins_violation_probability wrap ``run``, evidence_rate shares the
 bayes/map ln r_n sampler, and family_wise_error uses ``_replicate``; each
 runner only names its draw (width values, uniform or normal) and its
-reduce of a block of draws. An estimator's sizes must be integers, or it
-raises the error it raises for a size below 1. numpy and the thread pool are
+reduce of a block of draws. An estimator given a size or a real argument of
+the wrong type raises its out-of-range error. numpy and the thread pool are
 imported by the functions that use them, so loading a scenario needs neither.
 """
 
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from . import fisher, info_geometry, neyman_pearson
+from . import dist, fisher, info_geometry, neyman_pearson
 from .dist import (
     FiniteDistribution,
     GaussianPair,
@@ -219,7 +219,8 @@ def _require(scenario, ok, what):
 
 
 def _param(scenario, key, convert, default=None, required=False, check=None):
-    """Convert params[key]; check = (predicate, what the value must be)."""
+    """Convert params[key]; check = (predicate, what the value must do), a
+    rule as dist's ``_real`` reads them."""
     raw = scenario.params.get(key)
     if raw is None:
         _require(scenario, not required, f"missing param {key!r}")
@@ -231,16 +232,12 @@ def _param(scenario, key, convert, default=None, required=False, check=None):
             f"scenario {scenario.name}: bad value {raw!r} for {key!r}"
         ) from exc
     if check is not None:
-        _require(scenario, check[0](value), f"{key!r} must be {check[1]}, got {raw!r}")
+        _require(scenario, check[0](value), f"{key!r} must {check[1]}, got {raw!r}")
     return value
 
 
-_THRESHOLD = (lambda v: math.isfinite(v) and v >= 1, "finite and at least 1")
-_LEVEL = (lambda v: 0 < v < 1, "in (0, 1)")
-
-
 def _int_param(scenario, key, default=None, required=False, least=1):
-    check = (lambda v: v >= least, f"at least {least}")
+    check = (lambda v: v >= least, f"be at least {least}")
     return _param(scenario, key, lambda v: int(str(v)), default, required, check)
 
 
@@ -259,7 +256,7 @@ def _increasing_param(scenario, key, top=None, required=False):
         ordered = all(a < b for a, b in zip(v, v[1:]))
         return bool(v) and ordered and v[0] >= 1 and (top is None or v[-1] <= top)
 
-    what = "strictly increasing integers from 1" + (f" to {top}" if top else "")
+    what = "be strictly increasing integers from 1" + (f" to {top}" if top else "")
     return _param(scenario, key, _ints, required=required, check=(ok, what))
 
 
@@ -359,7 +356,7 @@ def _run_lr(scenario, report, workers):
     import numpy as np
 
     h, k, truth = _require_pair(scenario)
-    s = _float_param(scenario, "s", default=8.0, check=_THRESHOLD)
+    s = _float_param(scenario, "s", default=8.0, check=dist._FINITE_AT_LEAST_1)
     table = log_ratio_table(h, k)
     log_s = math.log(s)
     report.values["s"] = s
@@ -555,9 +552,9 @@ def _divergences(counts, n, log_h):
 def _run_optional_stopping(scenario, report, workers):
     import numpy as np
 
-    alpha = _float_param(scenario, "alpha", default=0.05, check=_LEVEL)
+    alpha = _float_param(scenario, "alpha", default=0.05, check=dist._LEVEL)
     looks = _increasing_param(scenario, "looks", required=True)
-    s = _float_param(scenario, "s", default=1.0 / alpha, check=_THRESHOLD)
+    s = _float_param(scenario, "s", default=1.0 / alpha, check=dist._FINITE_AT_LEAST_1)
     report.values["alpha"] = alpha
     report.values["s"] = s
     report.values["lr_bound"] = 1.0 / s
@@ -575,8 +572,7 @@ def _run_optional_stopping(scenario, report, workers):
         _require(scenario, scenario.truth == "H" and pair.effect == 0,
                  f"{monitors}; use truth=H and a zero-effect gaussian pair")
         mu, sigma = pair.mu_h, pair.sigma
-        positive = (lambda v: 0 < v < math.inf, "positive and finite")
-        eta = _float_param(scenario, "lr-eta", default=0.5 * sigma, check=positive)
+        eta = _float_param(scenario, "lr-eta", default=0.5 * sigma, check=dist._POSITIVE)
         report.values["lr_eta"] = eta
         cut = -gaussian_quantile(alpha)  # z-score per look
         centre = np.array(looks) * mu
@@ -759,8 +755,7 @@ def robbins_violation_probability(
     look schedule. This is the crossing rate of an lr scenario in horizon
     mode, so it is reproducible and independent of the worker count.
     """
-    if not s > 1:
-        raise InputError(f"threshold must exceed 1, got {s!r}")
+    dist._real(s, "threshold", dist._ABOVE_1, dist._IN_FLOATS)  # float(s) becomes the param
     reps = _size(reps, "reps", ScenarioError)
     scenario = Scenario(
         name="robbins",
@@ -815,15 +810,11 @@ def family_wise_error(
     import numpy as np
 
     m, reps = _size(m, "m", ScenarioError), _size(reps, "reps", ScenarioError)
-    n = _size(n, "n", ScenarioError)
+    n = _size(n, "n", ScenarioError, least=1)
     if m < 1 or reps < 1:
         raise ScenarioError("m and reps must be at least 1")
-    if n < 1:
-        raise ScenarioError(f"n must be at least 1, got {n!r}")
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ScenarioError(f"sigma must be positive and finite, got {sigma!r}")
-    if not math.isfinite(eta):
-        raise ScenarioError(f"eta must be finite, got {eta!r}")
+    dist._real(sigma, "sigma", dist._POSITIVE, error=ScenarioError)
+    dist._real(eta, "eta", dist._FINITE, error=ScenarioError)
     per_test = neyman_pearson.adjust_alpha(family_alpha, m, scheme)
     z_crit = -gaussian_quantile(per_test)
     shift = eta * math.sqrt(n) / sigma

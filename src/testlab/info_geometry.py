@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
+from . import dist
 from .dist import (
     EmpiricalDistribution,
     FiniteDistribution,
@@ -45,8 +46,7 @@ class Divergence:
     nats: float
 
     def __post_init__(self):
-        if math.isnan(self.nats) or self.nats < 0:
-            raise InputError(f"divergence must be nonnegative, got {self.nats!r}")
+        dist._real(self.nats, "divergence", dist._NONNEGATIVE)
 
     def __float__(self) -> float:
         return self.nats
@@ -198,8 +198,7 @@ def types_bound_radius(alphabet_size: int, n: int, delta: float) -> float:
     if alphabet_size < 2:
         raise InputError("radius needs an alphabet of at least two symbols")
     n = _size(n, "n", least=1)
-    if not 0 < delta < 1:
-        raise InputError(f"delta must be in (0, 1), got {delta!r}")
+    dist._real(delta, "delta", dist._LEVEL)
     # -ln(delta), not ln(1/delta): 1/delta overflows to inf for a subnormal
     return ((alphabet_size - 1) * math.log(n + 1) - math.log(delta)) / n
 
@@ -212,8 +211,7 @@ class UniversalTestConfig:
     radius_rule: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
-        if not 0 < self.delta < 1:
-            raise InputError(f"delta must be in (0, 1), got {self.delta!r}")
+        dist._real(self.delta, "delta", dist._LEVEL)
 
     def radius(self, n: int, alphabet_size: int) -> float:
         if self.radius_rule is not None:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from . import dist
 from .dist import GaussianPair, _size, gaussian_cdf, gaussian_quantile
 from .errors import InputError, NoSolutionError, PowerSpecError, ZeroEffectError
 
@@ -53,14 +54,11 @@ class PowerSpec:
         unknowns = self.unknowns
         if len(unknowns) > 1:
             raise PowerSpecError(f"at most one unknown allowed, got {unknowns}")
-        if not 0 < self.sigma < math.inf:
-            raise PowerSpecError(f"sigma must be positive and finite, got {self.sigma!r}")
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value <= 0.5:
-                raise PowerSpecError(f"{name} must be in (0, 0.5], got {value!r}")
-        if self.eta is not None and not self.eta >= 0:  # NaN too
-            raise PowerSpecError(f"eta must be nonnegative, got {self.eta!r}")
+        dist._real(self.sigma, "sigma", dist._POSITIVE, error=PowerSpecError)
+        for name, rule in (("alpha", dist._RATE), ("beta", dist._RATE),
+                           ("eta", dist._NONNEGATIVE)):
+            if getattr(self, name) is not None:
+                dist._real(getattr(self, name), name, rule, error=PowerSpecError)
         if self.n is not None:
             if int(self.n) != self.n or self.n < 1:
                 raise PowerSpecError(f"n must be a positive integer, got {self.n!r}")
@@ -102,8 +100,7 @@ def np_test(pair: GaussianPair, n: int, alpha: float) -> tuple[DecisionRule, Err
     """Fixed-alpha one-sided test; among rules with type-I error <= alpha
     this cutoff minimises beta."""
     n = _size(n, "n", least=1)
-    if not 0 < alpha < 1:
-        raise InputError(f"alpha must be in (0, 1), got {alpha!r}")
+    dist._real(alpha, "alpha", dist._LEVEL)
     z = -gaussian_quantile(alpha)  # z_{1-alpha}; 1 - alpha is 1.0 for alpha < 5.5e-17
     scale = pair.sigma / math.sqrt(n)
     cutoff = pair.mu_h + z * scale
@@ -155,8 +152,7 @@ def solve_power(spec: PowerSpec) -> PowerSpec:
 
 def adjust_alpha(family_alpha: float, tests: int, scheme: str = "bonferroni") -> float:
     """Per-test alpha keeping the family-wise error under family_alpha."""
-    if not 0 < family_alpha < 1:
-        raise InputError(f"family alpha must be in (0, 1), got {family_alpha!r}")
+    dist._real(family_alpha, "family alpha", dist._LEVEL)
     tests = _size(tests, "number of tests", least=1)
     if scheme == "bonferroni":
         return family_alpha / tests

@@ -24,16 +24,21 @@ from testlab import (
     Divergence,
     EmpiricalDistribution,
     FiniteDistribution,
+    Gaussian,
     GaussianPair,
+    LogEvidence,
+    PowerSpec,
     PValueReport,
     Seed,
     TailDirection,
+    UniversalTestConfig,
     adjust_alpha,
     binomial_tail,
     empirical,
     errors,
     evidence_rate,
     family_wise_error,
+    gaussian_quantile,
     grade,
     lr_threshold_as_kl_margin,
     midpoint_rule,
@@ -42,6 +47,8 @@ from testlab import (
     p_value,
     robbins_violation_probability,
     run_scenario,
+    significance_verdict,
+    threshold_verdict,
 )
 from testlab.cli import main
 from testlab.dist import as_probability, parse_probability, sample
@@ -620,6 +627,77 @@ _INPUT_ERRORS = {
         "reps must be an integer, got 2.5",
     ),
     "grade-nan": (lambda path: grade(math.nan), "likelihood ratio is NaN"),
+    # a real argument given a str, None or a complex, or an int past the float range
+    "significance-level-string": (lambda path: significance_verdict(Fraction(1, 20), "0.05"),
+                                  "level must be a real number, got '0.05'"),
+    "np-test-alpha-string": (lambda path: np_test(GaussianPair(0, 1), 4, "0.05"),
+                             "alpha must be a real number, got '0.05'"),
+    "adjust-alpha-string": (lambda path: adjust_alpha("0.05", 2),
+                            "family alpha must be a real number, got '0.05'"),
+    "power-spec-sigma-string": (lambda path: PowerSpec(alpha=0.05, beta=0.1, eta=1, sigma="1"),
+                                "sigma must be a real number, got '1'"),
+    "power-spec-sigma-huge": (
+        lambda path: PowerSpec(alpha=0.05, beta=0.1, eta=1, sigma=10**400),
+        f"sigma must be positive and finite, got {10**400}",
+    ),
+    "power-spec-alpha-string": (lambda path: PowerSpec(alpha="0.05", beta=0.1, eta=1),
+                                "alpha must be a real number, got '0.05'"),
+    "power-spec-beta-string": (lambda path: PowerSpec(alpha=0.05, beta="0.1", eta=1),
+                               "beta must be a real number, got '0.1'"),
+    "power-spec-eta-string": (lambda path: PowerSpec(alpha=0.05, beta=0.1, eta="1"),
+                              "eta must be a real number, got '1'"),
+    "divergence-string": (lambda path: Divergence("1"),
+                          "divergence must be a real number, got '1'"),
+    "radius-delta-string": (lambda path: types_bound_radius(2, 10, "0.05"),
+                            "delta must be a real number, got '0.05'"),
+    "universal-delta-string": (lambda path: UniversalTestConfig("0.05"),
+                               "delta must be a real number, got '0.05'"),
+    "threshold-string": (lambda path: threshold_verdict(LogEvidence(), "8"),
+                         "threshold must be a real number, got '8'"),
+    "threshold-none": (lambda path: threshold_verdict(LogEvidence(), None),
+                       "threshold must be a real number, got None"),
+    "threshold-complex": (lambda path: threshold_verdict(LogEvidence(), 2j),
+                          "threshold must be a real number, got 2j"),
+    "threshold-half": (lambda path: threshold_verdict(LogEvidence(), 0.5),
+                       "threshold must be at least 1, got 0.5"),
+    "gaussian-sigma-string": (lambda path: Gaussian(0, "1"),
+                              "sigma must be a real number, got '1'"),
+    "gaussian-mean-string": (lambda path: Gaussian("0", 1),
+                             "means must be a real number, got ('0',)"),
+    "gaussian-pair-sigma-string": (lambda path: GaussianPair(0, 1, "1"),
+                                   "sigma must be a real number, got '1'"),
+    "gaussian-pair-mean-huge": (lambda path: GaussianPair(0, 10**400),
+                                f"means must be finite, got (0, {10**400})"),
+    "robbins-threshold-string": (
+        lambda path: robbins_violation_probability(_H, _K, "2", 10, 5, Seed(0)),
+        "threshold must be a real number, got '2'",
+    ),
+    "robbins-threshold-huge": (
+        lambda path: robbins_violation_probability(_H, _K, 10**400, 10, 5, Seed(0)),
+        f"threshold must lie in the float range, got {10**400}",
+    ),
+    "family-wise-sigma-string": (
+        lambda path: family_wise_error(2, 0.05, "bonferroni", 5, Seed(0), sigma="1"),
+        "sigma must be a real number, got '1'",
+    ),
+    "family-wise-sigma-huge": (
+        lambda path: family_wise_error(2, 0.05, "bonferroni", 5, Seed(0), sigma=10**400),
+        f"sigma must be positive and finite, got {10**400}",
+    ),
+    "family-wise-eta-string": (
+        lambda path: family_wise_error(2, 0.05, "bonferroni", 5, Seed(0), eta="1"),
+        "eta must be a real number, got '1'",
+    ),
+    "family-wise-eta-huge": (
+        lambda path: family_wise_error(2, 0.05, "bonferroni", 5, Seed(0), eta=10**400),
+        f"eta must be finite, got {10**400}",
+    ),
+    # three checks that keep their own wording for a str
+    "quantile-p-string": (lambda path: gaussian_quantile("0.5"),
+                          "quantile needs p in (0, 1), got '0.5'"),
+    "grade-string": (lambda path: grade("1"), "likelihood ratio must be nonnegative, got '1'"),
+    "binomial-tail-k-string": (lambda path: binomial_tail(5, "1", "1/2"),
+                               "k must be in [0, 5], got 1"),
     "fisher-dist-without-observed": (
         lambda path: _command("fisher", "--dist", str(_write(path, "a\t1\n"))),
         "--dist needs --observed",

@@ -478,6 +478,13 @@ def test_threshold_verdict_validates_s():
         threshold_verdict(LogEvidence(), math.inf)
 
 
+def test_threshold_past_the_float_range_is_compared_exactly():
+    big = 10**400  # finite, though math.isfinite overflows on it
+    ev = LogEvidence(400 * math.log(10), 3, None, Fraction(big))
+    assert threshold_verdict(ev, big) is Verdict.ACCEPT_K
+    assert threshold_verdict(ev, big + 1) is Verdict.CONTINUE
+
+
 def test_falsified_evidence_is_decisive():
     h = FiniteDistribution(("a", "b"), (Fraction(1), Fraction(0)))
     k = bernoulli(Fraction(1, 2))

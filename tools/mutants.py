@@ -254,8 +254,8 @@ MUTANTS = (
     Mutant(
         "numpy-imported-at-harness-top",
         "src/testlab/harness.py",
-        "from . import fisher, info_geometry, neyman_pearson\n",
-        "import numpy as np\n\nfrom . import fisher, info_geometry, neyman_pearson\n",
+        "from . import dist, fisher, info_geometry, neyman_pearson\n",
+        "import numpy as np\n\nfrom . import dist, fisher, info_geometry, neyman_pearson\n",
         ("tests/test_dist.py::test_importing_the_cli_leaves_numpy_random_unloaded",),
     ),
     # run loads numpy before it starts the clock, so the first simulate in a
@@ -374,6 +374,45 @@ MUTANTS = (
         "    if False:\n",
         ("tests/test_cli.py::test_input_errors_give_their_whole_message[radius-n-zero]",
          "tests/test_cli.py::test_input_errors_give_their_whole_message[np-test-n-zero]"),
+    ),
+    # a real argument that no rule can compare (a str, None, a complex) is an
+    # input error, and so is one that overflows a rule (math.isfinite past the
+    # float range)
+    Mutant(
+        "real-type-error-uncaught",
+        "src/testlab/dist.py",
+        "    except TypeError:\n        return None\n",
+        "",
+        tuple(f"tests/test_cli.py::test_input_errors_give_their_whole_message[{case}]"
+              for case in ("threshold-string", "np-test-alpha-string", "divergence-string",
+                           "family-wise-sigma-string", "quantile-p-string")),
+    ),
+    Mutant(
+        "real-overflow-uncaught",
+        "src/testlab/dist.py",
+        "    except OverflowError:\n        return False\n",
+        "",
+        tuple(f"tests/test_cli.py::test_input_errors_give_their_whole_message[{case}]"
+              for case in ("gaussian-pair-mean-huge", "family-wise-sigma-huge",
+                           "robbins-threshold-huge")),
+    ),
+    # _real checks every rule it is given, not only the first
+    Mutant(
+        "real-later-rules-skipped",
+        "src/testlab/dist.py",
+        "    for test, words in rules:\n",
+        "    for test, words in rules[:1]:\n",
+        ("tests/test_cli.py::test_input_errors_give_their_whole_message[threshold-half]",
+         "tests/test_cli.py::test_input_errors_give_their_whole_message[robbins-threshold-huge]"),
+    ),
+    # an exact threshold past the float range is finite: only a float can be
+    # infinite, and the exact comparison decides the rest
+    Mutant(
+        "threshold-finite-overflows",
+        "src/testlab/dist.py",
+        "not isinstance(v, float) or math.isfinite(v)",
+        "math.isfinite(v)",
+        ("tests/test_evidential.py::test_threshold_past_the_float_range_is_compared_exactly",),
     ),
     # one fold extends evidence by a sample: support exclusion falsifies the
     # hypothesis that gave the symbol zero mass, both falsified is an error,
